@@ -590,10 +590,14 @@ where
 
     /// Executes a mixed batch of commands shard-fused: partitions `cmds`
     /// by shard, sorts each shard's run by key, walks it through that
-    /// shard's finger-anchored [`MapHandle::batch_run`] cursor, and
-    /// scatters the verdicts back into `out` at the command's input
-    /// position. All buffers are caller-owned and reused — a
-    /// steady-state caller allocates nothing beyond retained capacity.
+    /// shard's finger-anchored [`BatchRun::execute`](crate::BatchRun::execute)
+    /// cursor, and scatters the verdicts back into `out` at the
+    /// command's input position. Consecutive inserts of a sorted run
+    /// that land in one leaf are published together — merged with the
+    /// leaf into a balanced subtree of blocks under one CAS — so a
+    /// bulk-loading frame builds no spine. All buffers are caller-owned
+    /// and reused — a steady-state caller allocates nothing beyond
+    /// retained capacity.
     ///
     /// **Equivalence to input-order execution.** The replies (and the
     /// final map state) are identical to running `cmds` one at a time in
@@ -604,6 +608,9 @@ where
     /// unique, so the comparator is a total order and `sort_unstable_by`
     /// is deterministic). The only freedom the fusion exploits is
     /// reordering across distinct keys, which no reply can observe.
+    /// Grouped inserts linearize together at their group's CAS, in that
+    /// order; the point lies inside every op's interval because the
+    /// batch replies only as a whole.
     pub fn execute_batch(
         &mut self,
         cmds: &[BatchCmd<K, V>],
@@ -632,19 +639,7 @@ where
                     .cmp(cmds[b as usize].key())
                     .then(a.cmp(&b))
             });
-            let mut cursor = self.handles[i].batch_run();
-            for &pos in run.iter() {
-                out[pos as usize] = match &cmds[pos as usize] {
-                    BatchCmd::Get(k) => match cursor.get(k) {
-                        Some(v) => BatchVerdict::Found(v),
-                        None => BatchVerdict::Missing,
-                    },
-                    BatchCmd::Insert(k, v) => {
-                        BatchVerdict::Added(cursor.insert(k.clone(), v.clone()))
-                    }
-                    BatchCmd::Remove(k) => BatchVerdict::Removed(cursor.remove(k)),
-                };
-            }
+            self.handles[i].batch_run().execute(cmds, run, out);
         }
     }
 

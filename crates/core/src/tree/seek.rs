@@ -58,6 +58,15 @@ pub(crate) struct SeekRecord<K, V> {
     /// Upper (strict) key bound of the anchor edge's position; null
     /// means +∞. Same provenance and caveats as `lo`.
     pub(crate) hi: *const Key<K>,
+    /// Strict upper key bound of the *leaf's* own position: the router
+    /// of the last left turn of the descent, the parent's decision
+    /// included (null means +∞). Every key below it that is at least
+    /// the sought key routes to `leaf` — the extent test of a run
+    /// publish (see `insert_group` in `write.rs`). Like `lo`/`hi` it
+    /// can only be conservative later: splices above the leaf widen its
+    /// window, and any restructure of the leaf itself replaces or marks
+    /// the parent edge, which fails the publishing CAS.
+    pub(crate) leaf_hi: *const Key<K>,
 }
 
 impl<K, V> SeekRecord<K, V> {
@@ -69,6 +78,7 @@ impl<K, V> SeekRecord<K, V> {
             leaf: std::ptr::null_mut(),
             lo: std::ptr::null(),
             hi: std::ptr::null(),
+            leaf_hi: std::ptr::null(),
         }
     }
 }
@@ -156,6 +166,9 @@ where
             prefetch(current);
             depth += 1;
         }
+        // The leaf's own decision is still pending (and meaningless), so
+        // `hi` holds the bound from every router above it.
+        rec.leaf_hi = hi;
         self.metrics.note_depth(depth);
     }
 
@@ -265,6 +278,7 @@ where
             current = current_field.ptr();
             prefetch(current);
         }
+        rec.leaf_hi = hi;
         stats::record_local_restart();
         obs::emit(EventKind::LocalRestart);
         true
@@ -430,6 +444,44 @@ mod tests {
             let keys = (*rec.leaf).entry_keys();
             assert!(keys.contains(&10) || keys.contains(&20));
             assert!((*rec.leaf).find(&15).is_err());
+        }
+    }
+
+    #[test]
+    fn leaf_hi_is_the_leafs_exact_upper_bound() {
+        let map = Map::new();
+        for k in 0..200 {
+            map.insert(k * 5, ());
+        }
+        let mut rec = SeekRecord::empty();
+        let _guard = map.pin();
+        for probe in 0..1000 {
+            unsafe {
+                map.seek(&probe, &mut rec);
+                let leaf = rec.leaf;
+                let hi = rec.leaf_hi;
+                if hi.is_null() {
+                    // Only the rightmost leaf is unbounded.
+                    assert!((*leaf).entry_keys().contains(&995), "probe {probe}");
+                    continue;
+                }
+                let Key::Fin(bound) = &*hi else {
+                    panic!("user-area bounds are finite")
+                };
+                assert!(probe < *bound, "probe {probe} at or above its leaf's bound");
+                assert!((*leaf).entry_keys().iter().all(|k| k < bound));
+                // Every key from the probe up to the bound lands in the
+                // same leaf, and the bound itself does not.
+                for k in probe..*bound {
+                    assert_eq!(map.search_leaf(&k), leaf, "key {k} below the bound");
+                }
+                assert_ne!(map.search_leaf(bound), leaf);
+                // A finger-restarted seek agrees.
+                let (a, s) = (rec.ancestor, rec.successor);
+                assert!(map.seek_from(a, s, &probe, &mut rec));
+                assert_eq!(rec.leaf, leaf);
+                assert_eq!(rec.leaf_hi, hi);
+            }
         }
     }
 

@@ -35,8 +35,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads, so each test holds this lock for its whole body:
+/// one test's measured window must not count another's allocations.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn range_for_each_allocates_nothing_on_balanced_trees() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Bulk-load for a guaranteed-balanced shape (depth ~13 ≪ the 64
     // inline slots) and `Leaky` so no reclamation bookkeeping allocates
     // behind the traversal's pin.
@@ -63,6 +69,7 @@ fn range_for_each_allocates_nothing_on_balanced_trees() {
 
 #[test]
 fn range_for_each_spill_is_bounded_not_per_node() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A ~300-deep degenerate spine forces the spill `Vec`, but the
     // allocation cost must be the Vec's geometric growth (a handful of
     // reallocs), not O(nodes).

@@ -27,7 +27,9 @@
 use crate::{check_linearizable, Event, Recorder, SetOp};
 use nmbst::chaos::{self, Action};
 use nmbst::obs::{FlightRecorder, TraceEvent};
-use nmbst::{Ebr, Leaky, NmTreeSet, PoolConfig, Reclaim, RestartPolicy, TreeConfig};
+use nmbst::{
+    BatchCmd, BatchVerdict, Ebr, Leaky, NmTreeSet, PoolConfig, Reclaim, RestartPolicy, TreeConfig,
+};
 use nmbst_sync::Backoff;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -104,6 +106,17 @@ pub struct ExploreConfig {
     /// `{2, 8}` to drive the copy-on-write block publish paths instead
     /// (COW inserts/removes and block splits become the common case).
     pub leaf_cap: usize,
+    /// Batch mode only: the most keys one `Insert` tape op inserts.
+    /// Above 1, each `Insert(k)` tape op becomes **one** batch inserting
+    /// the adjacent keys `k, k+1, …` (a seeded length in
+    /// `1..=insert_run`, clipped to the key space) through
+    /// [`BatchRun::execute`](nmbst::BatchRun::execute), so neighbouring
+    /// keys group into run publishes — one CAS for several keys — and
+    /// schedules interleave through their build, lost-CAS teardown and
+    /// retry. Every insert of the batch is recorded with the batch's
+    /// invoke/response interval. Defaults to 1 (size-1 batches), which
+    /// keeps the historical seed corpus stable.
+    pub insert_run: u64,
 }
 
 /// The reclamation scheme a seeded run instantiates the tree with.
@@ -135,6 +148,7 @@ impl Default for ExploreConfig {
             reclaim: ReclaimKind::default(),
             batch: false,
             leaf_cap: 1,
+            insert_run: 1,
         }
     }
 }
@@ -372,6 +386,22 @@ fn apply_batch<R: Reclaim>(handle: &mut nmbst::SetHandle<'_, u64, R>, op: SetOp)
     }
 }
 
+/// Insert-run twin of [`apply_batch`]: one batch inserting `keys`
+/// (adjacent, ascending) through the fused-batch cursor, returning each
+/// key's verdict.
+fn apply_insert_run<R: Reclaim>(
+    handle: &mut nmbst::SetHandle<'_, u64, R>,
+    keys: &[u64],
+) -> Vec<bool> {
+    let cmds: Vec<BatchCmd<u64, ()>> = keys.iter().map(|&k| BatchCmd::Insert(k, ())).collect();
+    let order: Vec<u32> = (0..cmds.len() as u32).collect();
+    let mut out = vec![BatchVerdict::Missing; cmds.len()];
+    handle.batch_run().execute(&cmds, &order, &mut out);
+    out.iter()
+        .map(|v| *v == BatchVerdict::Added(true))
+        .collect()
+}
+
 /// Runs the scenario and schedule derived from `seed` and validates it.
 /// The `Ok` report (schedule + history) is bit-for-bit reproducible:
 /// calling again with the same config and seed returns an equal report.
@@ -388,8 +418,11 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     // The checker's memoization works on u64 bitmasks and histories are
     // exhaustively ordered; keep every phase small enough that the whole
     // history stays within its 64-event budget.
+    assert!(cfg.insert_run >= 1);
     assert!(
-        cfg.max_keys as usize * 2 + cfg.max_threads * cfg.max_ops_per_thread <= 64,
+        cfg.max_keys as usize * 2
+            + cfg.max_threads * cfg.max_ops_per_thread * cfg.insert_run as usize
+            <= 64,
         "scenario bounds overflow the checker's 64-event budget"
     );
 
@@ -427,17 +460,25 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
     }
 
     // Per-thread operation tapes, deletion-heavy: the helping protocol
-    // only activates on deletes.
-    let tapes: Vec<Vec<SetOp>> = (0..threads)
+    // only activates on deletes. Each entry is an op plus the number of
+    // adjacent keys it covers. Run lengths are drawn only when insert
+    // runs are on, so other configs consume the seeded stream exactly as
+    // before and replay the historical corpus.
+    let runs = batch && cfg.insert_run > 1;
+    let tapes: Vec<Vec<(SetOp, u64)>> = (0..threads)
         .map(|_| {
             let ops = rng.in_range(1, cfg.max_ops_per_thread as u64);
             (0..ops)
                 .map(|_| {
                     let k = rng.next() % keys;
                     match rng.next() % 4 {
-                        0 => SetOp::Insert(k),
-                        1 | 2 => SetOp::Remove(k),
-                        _ => SetOp::Contains(k),
+                        0 if runs => {
+                            let len = rng.in_range(1, cfg.insert_run).min(keys - k);
+                            (SetOp::Insert(k), len)
+                        }
+                        0 => (SetOp::Insert(k), 1),
+                        1 | 2 => (SetOp::Remove(k), 1),
+                        _ => (SetOp::Contains(k), 1),
                     }
                 })
                 .collect()
@@ -475,14 +516,22 @@ fn run_seed<R: Reclaim>(cfg: &ExploreConfig, seed: u64) -> Result<RunReport, Box
                         Action::Continue
                     },
                     || {
-                        for &op in tape {
+                        for &(op, len) in tape {
                             // Schedule point at the op boundary; the hook
                             // adds one at every atomic step inside.
                             sched.gate(tid);
-                            local.push(rec.measure(op, || match &mut handle {
-                                Some(h) => apply_batch(h, op),
-                                None => apply(set, op),
-                            }));
+                            match (op, &mut handle) {
+                                (SetOp::Insert(k), Some(h)) if len > 1 => {
+                                    let run: Vec<u64> = (k..k + len).collect();
+                                    let ops: Vec<SetOp> =
+                                        run.iter().map(|&k| SetOp::Insert(k)).collect();
+                                    local.extend(
+                                        rec.measure_batch(&ops, || apply_insert_run(h, &run)),
+                                    );
+                                }
+                                (_, Some(h)) => local.push(rec.measure(op, || apply_batch(h, op))),
+                                (_, None) => local.push(rec.measure(op, || apply(set, op))),
+                            }
                         }
                     },
                 );
@@ -601,6 +650,24 @@ mod tests {
         };
         let stats = explore_many(&cfg, 0..48).unwrap_or_else(|v| panic!("{v}"));
         assert_eq!(stats.schedules, 48);
+    }
+
+    #[test]
+    fn insert_run_mode_same_seed_same_run() {
+        let cfg = ExploreConfig {
+            batch: true,
+            insert_run: 4,
+            max_keys: 8,
+            max_threads: 3,
+            max_ops_per_thread: 4,
+            leaf_cap: 2,
+            ..ExploreConfig::default()
+        };
+        for seed in [0u64, 5, 0x5EED] {
+            let a = explore_seed(&cfg, seed).expect("correct tree passes");
+            let b = explore_seed(&cfg, seed).expect("correct tree passes");
+            assert_eq!(a, b, "insert-run seed {seed:#x} did not replay identically");
+        }
     }
 
     #[test]

@@ -56,6 +56,26 @@ impl Recorder {
         }
     }
 
+    /// [`measure`](Recorder::measure) for one call that performs
+    /// several operations at once (a batch): every op gets the call's
+    /// invocation/response interval and its own result, index-aligned
+    /// with `ops`. Sound for any linearization point inside the call.
+    pub fn measure_batch(&self, ops: &[SetOp], action: impl FnOnce() -> Vec<bool>) -> Vec<Event> {
+        let invoke = self.clock.fetch_add(1, Ordering::AcqRel);
+        let results = action();
+        let response = self.clock.fetch_add(1, Ordering::AcqRel);
+        assert_eq!(results.len(), ops.len(), "one result per batched op");
+        ops.iter()
+            .zip(results)
+            .map(|(&op, result)| Event {
+                op,
+                result,
+                invoke,
+                response,
+            })
+            .collect()
+    }
+
     /// Current clock value (diagnostics).
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::Acquire)

@@ -88,6 +88,13 @@ pub struct PoolStats {
     pub len: u64,
     /// Maximum free-list length.
     pub capacity: u64,
+    /// Slots in use: carved from the arena and neither on the free list
+    /// nor abandoned — reachable nodes, retired nodes awaiting their
+    /// grace period, and slots parked in per-handle caches (racy
+    /// snapshot; exact at quiescence). Once every handle is dropped and
+    /// every retired node reclaimed, it equals the live node count, so a
+    /// leaked node shows up as a surplus.
+    pub live: u64,
 }
 
 /// A slab arena of fixed-layout slots addressed by `u32` indices, with a
@@ -435,6 +442,8 @@ impl NodePool {
             dropped: self.dropped.load(Ordering::Relaxed),
             len: self.len() as u64,
             capacity: self.capacity as u64,
+            live: u64::from(self.next.load(Ordering::Relaxed) - 1)
+                .saturating_sub(self.len() as u64 + self.dropped.load(Ordering::Relaxed)),
         }
     }
 }

@@ -1449,9 +1449,20 @@ pub mod testing {
         f: impl FnOnce(&mut LocalEngine<'_>) -> T,
     ) -> T {
         let store = Store::with_config(shards.max(1), TreeConfig::default());
+        with_local_engine_over(&store, fuse_batches, f)
+    }
+
+    /// [`with_local_engine`] over a caller-owned store, which outlives
+    /// the engine — so the caller can inspect it exclusively afterwards
+    /// (e.g. `Store::check_invariants`).
+    pub fn with_local_engine_over<T>(
+        store: &Store,
+        fuse_batches: bool,
+        f: impl FnOnce(&mut LocalEngine<'_>) -> T,
+    ) -> T {
         let stats = ServerStats::new(1, 0);
         let mut local = LocalEngine {
-            engine: Engine::new(0, &store, &stats, fuse_batches, u32::MAX),
+            engine: Engine::new(0, store, &stats, fuse_batches, u32::MAX),
         };
         f(&mut local)
     }

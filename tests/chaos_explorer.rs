@@ -114,6 +114,35 @@ fn bounded_seed_sweep_is_clean_across_leaf_capacities() {
 }
 
 #[test]
+fn bounded_seed_sweep_is_clean_with_insert_runs() {
+    // Batch-mode tapes whose inserts are multi-key runs of adjacent
+    // keys: neighbouring keys group into one run publish (merged block
+    // subtree, one CAS), so schedules interleave through the group's
+    // extent test, its lost-CAS teardown and retry, and the ∞₀ sentinel
+    // case. Every insert of a run shares the batch's interval. Smaller
+    // scenarios keep the history inside the checker's 64 events.
+    for leaf_cap in [1, 2, 8] {
+        for (pool, reclaim) in [(false, ReclaimKind::Leaky), (true, ReclaimKind::Ebr)] {
+            let cfg = ExploreConfig {
+                batch: true,
+                insert_run: 4,
+                max_keys: 8,
+                max_threads: 3,
+                max_ops_per_thread: 4,
+                leaf_cap,
+                pool,
+                reclaim,
+                ..Default::default()
+            };
+            let stats = explore_many(&cfg, 0..SEED_BUDGET / 4).unwrap_or_else(|v| {
+                panic!("leaf_cap {leaf_cap}, pool {pool}: {v}\n{}", v.postmortem())
+            });
+            assert_eq!(stats.schedules, (SEED_BUDGET / 4) as usize);
+        }
+    }
+}
+
+#[test]
 fn pool_enabled_exploration_is_deterministic() {
     // The token-passing scheduler serializes every step, so epoch
     // advancement, deferral execution, and pool traffic are pure
