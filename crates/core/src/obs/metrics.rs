@@ -729,115 +729,34 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Folds another snapshot into this one, producing the aggregate view
     /// a sharded front end (e.g. `ShardedMap::metrics`) reports for N
-    /// independent trees.
+    /// independent trees: every row of [`METRIC_ROWS`] combines under its
+    /// [`Merge`] rule.
     ///
-    /// Operation counters, `size_estimate`, pool counters, serve gauges
-    /// (workers own disjoint connections), the latency histograms (slot
-    /// counts and sums add exactly), and the retired backlog are *sums*; `max_depth`, per-histogram maxima, the
-    /// reclaim epoch, and the epoch lag are *maxima* (each shard owns an
-    /// independent reclaimer, so the worst shard is the health signal).
-    /// `pinned_threads` is summed per shard — a thread pinned in several
-    /// shards at once counts once per shard. Slow-op records
+    /// Counters, pool and serve stats (workers own disjoint connections),
+    /// histogram cells and the retired backlog are *sums*; `max_depth`,
+    /// the reclaim epoch and the epoch lag are *maxima* (each shard owns
+    /// an independent reclaimer, so the worst shard is the health
+    /// signal). `pinned_threads` is summed per shard — a thread pinned in
+    /// several shards at once counts once per shard. Slow-op records
     /// concatenate, slowest first, capped at the per-tree ring size.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.searches += other.searches;
-        self.inserts += other.inserts;
-        self.inserted += other.inserted;
-        self.removes += other.removes;
-        self.removed += other.removed;
-        self.helps += other.helps;
-        self.finger_hits += other.finger_hits;
-        self.finger_misses += other.finger_misses;
-        self.run_riders += other.run_riders;
-        self.size_estimate += other.size_estimate;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        for (dst, src) in self.depth_hist.iter_mut().zip(other.depth_hist.iter()) {
-            *dst += src;
+        for row in METRIC_ROWS {
+            match &row.value {
+                Value::Scalar(_, fold) => fold(self, other, row.merge),
+                Value::Family(family) => (family.fold)(self, other),
+                Value::PerWorker(_) | Value::PerOp(_) => {}
+            }
         }
-        self.depth_sum += other.depth_sum;
-        self.latency.merge(&other.latency);
-        self.slow_ops.extend_from_slice(&other.slow_ops);
-        self.slow_ops.sort_by_key(|r| std::cmp::Reverse(r.ns));
-        self.slow_ops.truncate(super::slow::TREE_SLOW_CAP);
-        self.reclaim.epoch = self.reclaim.epoch.max(other.reclaim.epoch);
-        self.reclaim.epoch_lag = self.reclaim.epoch_lag.max(other.reclaim.epoch_lag);
-        self.reclaim.pinned_threads += other.reclaim.pinned_threads;
-        self.reclaim.retired_backlog += other.reclaim.retired_backlog;
-        self.pool.hits += other.pool.hits;
-        self.pool.misses += other.pool.misses;
-        self.pool.recycled += other.pool.recycled;
-        self.pool.dropped += other.pool.dropped;
-        self.pool.len += other.pool.len;
-        self.pool.capacity += other.pool.capacity;
-        self.pool.live += other.pool.live;
-        self.serve.open_connections += other.serve.open_connections;
-        self.serve.read_paused_connections += other.serve.read_paused_connections;
-        self.serve.write_buffered_bytes += other.serve.write_buffered_bytes;
-        self.serve.backpressure_events += other.serve.backpressure_events;
     }
 
-    /// The snapshot as one flat JSON object (fixed key order, no
-    /// dependencies — the same hand-rolled dialect as the bench schema).
-    /// Latency histograms render as per-op-type summary objects
-    /// (`{count, sum, max, p50, p99, p999}`, percentiles computed from
-    /// the full-resolution slots); `slow_ops` as the captured count.
+    /// The snapshot as one flat JSON object, one member per row of
+    /// [`METRIC_ROWS`] in table order (no dependencies — the same
+    /// hand-rolled dialect as the bench schema). Latency histograms
+    /// render as per-op-type summary objects (`{count, sum, max, p50,
+    /// p99, p999}`, percentiles computed from the full-resolution slots);
+    /// `slow_ops` as the captured count.
     pub fn to_json(&self) -> String {
-        let depth_hist = self
-            .depth_hist
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let latency = self
-            .latency
-            .by_class()
-            .iter()
-            .map(|(label, h)| format!("\"{label}\":{}", h.summary_json()))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"searches\":{},\"inserts\":{},\"inserted\":{},",
-                "\"removes\":{},\"removed\":{},\"helps\":{},",
-                "\"finger_hits\":{},\"finger_misses\":{},\"run_riders\":{},",
-                "\"size_estimate\":{},\"max_depth\":{},",
-                "\"depth_hist\":[{}],\"depth_sum\":{},",
-                "\"latency\":{{{}}},\"slow_ops\":{},",
-                "\"reclaim_epoch\":{},\"reclaim_epoch_lag\":{},",
-                "\"reclaim_pinned_threads\":{},\"reclaim_retired_backlog\":{},",
-                "\"pool_hits\":{},\"pool_misses\":{},",
-                "\"pool_recycled\":{},\"pool_len\":{},",
-                "\"open_connections\":{},\"read_paused_connections\":{},",
-                "\"write_buffered_bytes\":{},\"backpressure_events\":{}}}"
-            ),
-            self.searches,
-            self.inserts,
-            self.inserted,
-            self.removes,
-            self.removed,
-            self.helps,
-            self.finger_hits,
-            self.finger_misses,
-            self.run_riders,
-            self.size_estimate,
-            self.max_depth,
-            depth_hist,
-            self.depth_sum,
-            latency,
-            self.slow_ops.len(),
-            self.reclaim.epoch,
-            self.reclaim.epoch_lag,
-            self.reclaim.pinned_threads,
-            self.reclaim.retired_backlog,
-            self.pool.hits,
-            self.pool.misses,
-            self.pool.recycled,
-            self.pool.len,
-            self.serve.open_connections,
-            self.serve.read_paused_connections,
-            self.serve.write_buffered_bytes,
-            self.serve.backpressure_events,
-        )
+        format!("{{{}}}", render_json(METRIC_ROWS, self))
     }
 
     /// The snapshot in the Prometheus text exposition format, ready to
@@ -845,262 +764,335 @@ impl MetricsSnapshot {
     /// histogram family (`nmbst_op_latency_ns`) with an `op` label per
     /// op type, cumulative `le` buckets at the power-of-two bounds.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: i128) {
-            out.push_str("# HELP ");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(help);
-            out.push_str("\n# TYPE ");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&value.to_string());
-            out.push('\n');
+        render_prometheus(METRIC_ROWS, self)
+    }
+}
+
+/// One line, `key=value` per row of [`METRIC_ROWS`]; the histogram
+/// families show a one-number summary (`mean_depth≈`, `lat_samples=`).
+impl std::fmt::Display for MetricsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tokens: Vec<String> = METRIC_ROWS
+            .iter()
+            .map(|row| match &row.value {
+                Value::Family(family) => (family.show)(self),
+                value => format!("{}={}", row.key, value.json(self)),
+            })
+            .collect();
+        f.write_str(&tokens.join(" "))
+    }
+}
+
+/// The Prometheus type of a metric [`Row`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic; the Prometheus name ends in `_total`.
+    Counter,
+    /// A point sample.
+    Gauge,
+    /// A histogram family (`_bucket`/`_sum`/`_count` series).
+    Histogram,
+}
+
+impl Kind {
+    /// The kind as a `# TYPE` line names it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
         }
-        metric(
-            &mut out,
-            "nmbst_searches_total",
-            "counter",
-            "Search operations.",
-            self.searches as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_inserts_total",
-            "counter",
-            "Insert operations (incl. duplicate-rejected).",
-            self.inserts as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_inserted_total",
-            "counter",
-            "Inserts that added a key.",
-            self.inserted as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_removes_total",
-            "counter",
-            "Remove operations (incl. key-absent).",
-            self.removes as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_removed_total",
-            "counter",
-            "Removes that deleted a key.",
-            self.removed as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_helps_total",
-            "counter",
-            "Operations that helped a conflicting delete.",
-            self.helps as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_finger_hits_total",
-            "counter",
-            "Batch ops whose finger anchor revalidated.",
-            self.finger_hits as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_finger_misses_total",
-            "counter",
-            "Batch ops that fell back to a full root descent.",
-            self.finger_misses as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_run_riders_total",
-            "counter",
-            "Batch inserts published with an earlier insert's leaf group.",
-            self.run_riders as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_size_estimate",
-            "gauge",
-            "Live keys (inserted - removed; exact at quiescence).",
-            self.size_estimate as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_max_depth",
-            "gauge",
-            "Deepest access path observed by a modify-path seek.",
-            self.max_depth as i128,
-        );
-        // Descent-depth distribution as a Prometheus histogram:
-        // cumulative `le` buckets at the power-of-two upper bounds.
-        out.push_str(concat!(
-            "# HELP nmbst_descent_depth Nodes touched per modify-path descent.\n",
-            "# TYPE nmbst_descent_depth histogram\n"
-        ));
+    }
+}
+
+/// How two sources' values of one [`Row`] combine in
+/// [`MetricsSnapshot::merge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Sources own disjoint counts: add them (histograms cell by cell).
+    Sum,
+    /// The worst source is the signal: keep the larger.
+    Max,
+}
+
+/// Where a [`Row`]'s values come from, which fixes how they render.
+pub enum Value<S> {
+    /// One number: its reader, and the fold that merges another
+    /// source's number into it under the row's [`Merge`] rule.
+    Scalar(fn(&S) -> i128, fn(&mut S, &S, Merge)),
+    /// One number per reactor worker: `worker="i"` series, a JSON array.
+    PerWorker(fn(&S) -> Vec<u64>),
+    /// One number per opcode the source lists: `op="name"` series, a
+    /// JSON object.
+    PerOp(fn(&S) -> Vec<(&'static str, u64)>),
+    /// A histogram family, rendered by its own functions.
+    Family(Family<S>),
+}
+
+impl<S> Value<S> {
+    /// A number read from a live source that is never merged (server
+    /// counters are read from their atomics at scrape time).
+    pub const fn live(get: fn(&S) -> i128) -> Self {
+        Value::Scalar(get, |_, _, _| {})
+    }
+
+    /// The JSON value (what follows `"key":`).
+    fn json(&self, s: &S) -> String {
+        match self {
+            Value::Scalar(get, _) => get(s).to_string(),
+            Value::PerWorker(get) => format!("[{}]", comma_list(get(s))),
+            Value::PerOp(get) => {
+                let members = get(s).into_iter().map(|(op, v)| format!("\"{op}\":{v}"));
+                format!("{{{}}}", comma_list(members))
+            }
+            Value::Family(family) => (family.json)(s),
+        }
+    }
+
+    /// Writes the sample lines of the metric `name`.
+    fn write_samples(&self, s: &S, name: &str, out: &mut String) {
+        match self {
+            Value::Scalar(get, _) => {
+                let _ = writeln!(out, "{name} {}", get(s));
+            }
+            Value::PerWorker(get) => {
+                for (w, v) in get(s).iter().enumerate() {
+                    let _ = writeln!(out, "{name}{{worker=\"{w}\"}} {v}");
+                }
+            }
+            Value::PerOp(get) => {
+                for (op, v) in get(s) {
+                    let _ = writeln!(out, "{name}{{op=\"{op}\"}} {v}");
+                }
+            }
+            Value::Family(family) => (family.prom)(s, name, out),
+        }
+    }
+}
+
+/// The renderers of a histogram-family [`Row`].
+pub struct Family<S> {
+    /// The JSON value that follows the row's key.
+    pub json: fn(&S) -> String,
+    /// Appends the family's sample lines under the given metric name.
+    pub prom: fn(&S, &str, &mut String),
+    /// The family's `Display` summary.
+    pub show: fn(&S) -> String,
+    /// Merges another source's family into this one.
+    pub fold: fn(&mut S, &S),
+}
+
+/// One exposed metric: everything JSON, Prometheus, `Display` and
+/// [`MetricsSnapshot::merge`] need to know about it. A table of rows is
+/// the single place a metric is declared; [`render_json`] and
+/// [`render_prometheus`] render any table.
+pub struct Row<S> {
+    /// JSON member key, also the `Display` label.
+    pub key: &'static str,
+    /// Prometheus metric name.
+    pub prom: &'static str,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// How two sources' values combine.
+    pub merge: Merge,
+    /// Where the values come from.
+    pub value: Value<S>,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+}
+
+/// A [`Row`] from its fields in declaration order, naming the [`Kind`]
+/// and [`Merge`] variants bare: `metric_row!("frames",
+/// "nmbst_server_frames_total", Counter, Sum, value, "help")`.
+#[macro_export]
+macro_rules! metric_row {
+    ($key:literal, $prom:literal, $kind:ident, $merge:ident, $value:expr, $help:literal) => {
+        $crate::obs::Row {
+            key: $key,
+            prom: $prom,
+            kind: $crate::obs::Kind::$kind,
+            merge: $crate::obs::Merge::$merge,
+            value: $value,
+            help: $help,
+        }
+    };
+}
+
+/// `rows` as comma-separated JSON object members (`"key":value`),
+/// without the enclosing braces.
+pub fn render_json<S>(rows: &[Row<S>], s: &S) -> String {
+    let members = rows.iter().map(|row| (row.key, row.value.json(s)));
+    comma_list(members.map(|(key, value)| format!("\"{key}\":{value}")))
+}
+
+/// `rows` in the Prometheus text format: `# HELP`, `# TYPE`, then the
+/// samples. A row with no samples (an opcode-labelled series
+/// nothing has touched yet) is left out entirely, since a declared
+/// metric without samples fails exposition validation.
+pub fn render_prometheus<S>(rows: &[Row<S>], s: &S) -> String {
+    let (mut out, mut samples) = (String::new(), String::new());
+    for row in rows {
+        samples.clear();
+        row.value.write_samples(s, row.prom, &mut samples);
+        if !samples.is_empty() {
+            let (name, help, kind) = (row.prom, row.help, row.kind.name());
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{samples}"
+            ));
+        }
+    }
+    out
+}
+
+fn comma_list<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+    items.join(",")
+}
+
+/// A scalar row's value: a snapshot field, read as a number and folded
+/// under the row's merge rule.
+macro_rules! field {
+    ($($f:ident).+) => {
+        Value::Scalar(
+            |s| s.$($f).+ as i128,
+            |a, b, rule| match rule {
+                Merge::Sum => a.$($f).+ += b.$($f).+,
+                Merge::Max => a.$($f).+ = a.$($f).+.max(b.$($f).+),
+            },
+        )
+    };
+}
+
+/// The descent-depth histogram. JSON carries the raw power-of-two cells
+/// plus a `depth_sum` sibling; Prometheus uses cumulative `le` buckets.
+const DEPTH: Family<MetricsSnapshot> = Family {
+    json: |s| {
+        let cells = comma_list(s.depth_hist);
+        format!("[{cells}],\"depth_sum\":{}", s.depth_sum)
+    },
+    prom: |s, name, out| {
         let mut cumulative = 0u64;
-        for (b, count) in self.depth_hist.iter().enumerate() {
+        for (b, count) in s.depth_hist.iter().enumerate() {
             cumulative += count;
             // Bucket b covers 2^(b-1) ..= 2^b - 1; its upper bound is
             // 2^b - 1 (bucket 0 is the exact-zero bucket). The saturated
             // last bucket is unbounded, so it folds into +Inf.
             if b + 1 < DEPTH_BUCKETS {
                 let le = (1u64 << b) - 1;
-                let _ = writeln!(
-                    out,
-                    "nmbst_descent_depth_bucket{{le=\"{le}\"}} {cumulative}"
-                );
+                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
             }
         }
-        let _ = writeln!(
-            out,
-            "nmbst_descent_depth_bucket{{le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(out, "nmbst_descent_depth_sum {}", self.depth_sum);
-        let _ = writeln!(out, "nmbst_descent_depth_count {cumulative}");
-        // Per-op-type latency: one histogram family, labelled series.
-        out.push_str(concat!(
-            "# HELP nmbst_op_latency_ns Sampled operation latency by op type (ns).\n",
-            "# TYPE nmbst_op_latency_ns histogram\n"
-        ));
-        for (label, hist) in self.latency.by_class() {
-            hist.fmt_prometheus_series(&mut out, "nmbst_op_latency_ns", &format!("op=\"{label}\""));
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_sum {}", s.depth_sum);
+        let _ = writeln!(out, "{name}_count {cumulative}");
+    },
+    show: |s| {
+        let descents = s.depth_hist.iter().sum::<u64>().max(1);
+        format!("mean_depth≈{:.1}", s.depth_sum as f64 / descents as f64)
+    },
+    fold: |a, b| {
+        for (dst, src) in a.depth_hist.iter_mut().zip(b.depth_hist.iter()) {
+            *dst += src;
         }
-        metric(
-            &mut out,
-            "nmbst_slow_ops_captured",
-            "gauge",
-            "Slow-op records currently in the capture ring.",
-            self.slow_ops.len() as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_reclaim_epoch",
-            "gauge",
-            "Reclaimer global epoch.",
-            self.reclaim.epoch as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_reclaim_epoch_lag",
-            "gauge",
-            "Global epoch minus oldest pinned epoch.",
-            self.reclaim.epoch_lag as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_reclaim_pinned_threads",
-            "gauge",
-            "Threads currently pinned.",
-            self.reclaim.pinned_threads as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_reclaim_retired_backlog",
-            "gauge",
-            "Objects retired but not yet freed.",
-            self.reclaim.retired_backlog as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_pool_hits_total",
-            "counter",
-            "Node allocations served from recycled pool memory.",
-            self.pool.hits as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_pool_misses_total",
-            "counter",
-            "Node allocations that fell through to the allocator.",
-            self.pool.misses as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_pool_recycled_total",
-            "counter",
-            "Reclaimed nodes returned to the pool.",
-            self.pool.recycled as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_pool_len",
-            "gauge",
-            "Free blocks currently in the shared pool.",
-            self.pool.len as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_serve_open_connections",
-            "gauge",
-            "Connections currently registered with serving reactors.",
-            self.serve.open_connections as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_serve_read_paused_connections",
-            "gauge",
-            "Connections read-paused by write-buffer backpressure.",
-            self.serve.read_paused_connections as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_serve_write_buffered_bytes",
-            "gauge",
-            "Bytes in not-yet-flushed per-connection write buffers.",
-            self.serve.write_buffered_bytes as i128,
-        );
-        metric(
-            &mut out,
-            "nmbst_serve_backpressure_events_total",
-            "counter",
-            "Connections that transitioned into the read-paused state.",
-            self.serve.backpressure_events as i128,
-        );
-        out
-    }
-}
+        a.depth_sum += b.depth_sum;
+    },
+};
 
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "searches={} inserts={}/{} removes={}/{} helps={} finger={}/{} size≈{} \
-             max_depth={} mean_depth≈{:.1} lat_samples={} slow_ops={} \
-             epoch={} lag={} pinned={} backlog={} \
-             pool_hits={} pool_misses={} pool_recycled={} pool_len={} \
-             conns={} read_paused={} wbuf_bytes={} backpressure={}",
-            self.searches,
-            self.inserted,
-            self.inserts,
-            self.removed,
-            self.removes,
-            self.helps,
-            self.finger_hits,
-            self.finger_hits + self.finger_misses,
-            self.size_estimate,
-            self.max_depth,
-            self.depth_sum as f64 / self.depth_hist.iter().sum::<u64>().max(1) as f64,
-            self.latency.len(),
-            self.slow_ops.len(),
-            self.reclaim.epoch,
-            self.reclaim.epoch_lag,
-            self.reclaim.pinned_threads,
-            self.reclaim.retired_backlog,
-            self.pool.hits,
-            self.pool.misses,
-            self.pool.recycled,
-            self.pool.len,
-            self.serve.open_connections,
-            self.serve.read_paused_connections,
-            self.serve.write_buffered_bytes,
-            self.serve.backpressure_events,
-        )
-    }
-}
+/// The per-op-class latency histograms: one `op`-labelled series each.
+const LATENCY: Family<MetricsSnapshot> = Family {
+    json: |s| {
+        let classes = s.latency.by_class();
+        let members = classes.map(|(op, h)| format!("\"{op}\":{}", h.summary_json()));
+        format!("{{{}}}", members.join(","))
+    },
+    prom: |s, name, out| {
+        for (label, h) in s.latency.by_class() {
+            h.fmt_prometheus_series(out, name, &format!("op=\"{label}\""));
+        }
+    },
+    show: |s| format!("lat_samples={}", s.latency.len()),
+    fold: |a, b| a.latency.merge(&b.latency),
+};
+
+/// The slow-op records render as their count; merging keeps the
+/// slowest, up to one tree's ring size.
+const SLOW_OPS: Value<MetricsSnapshot> = Value::Scalar(
+    |s| s.slow_ops.len() as i128,
+    |a, b, _| {
+        a.slow_ops.extend_from_slice(&b.slow_ops);
+        a.slow_ops.sort_by_key(|r| std::cmp::Reverse(r.ns));
+        a.slow_ops.truncate(super::slow::TREE_SLOW_CAP);
+    },
+);
+
+/// Every metric a [`MetricsSnapshot`] exposes, in exposition order: the
+/// one declaration behind [`merge`](MetricsSnapshot::merge),
+/// [`to_json`](MetricsSnapshot::to_json),
+/// [`to_prometheus`](MetricsSnapshot::to_prometheus) and `Display`.
+/// Each snapshot field belongs to exactly one row; adding a metric means
+/// adding a row.
+#[rustfmt::skip]
+pub static METRIC_ROWS: &[Row<MetricsSnapshot>] = &[
+    metric_row!("searches", "nmbst_searches_total", Counter, Sum, field!(searches),
+        "Search operations."),
+    metric_row!("inserts", "nmbst_inserts_total", Counter, Sum, field!(inserts),
+        "Insert operations (incl. duplicate-rejected)."),
+    metric_row!("inserted", "nmbst_inserted_total", Counter, Sum, field!(inserted),
+        "Inserts that added a key."),
+    metric_row!("removes", "nmbst_removes_total", Counter, Sum, field!(removes),
+        "Remove operations (incl. key-absent)."),
+    metric_row!("removed", "nmbst_removed_total", Counter, Sum, field!(removed),
+        "Removes that deleted a key."),
+    metric_row!("helps", "nmbst_helps_total", Counter, Sum, field!(helps),
+        "Operations that helped a conflicting delete."),
+    metric_row!("finger_hits", "nmbst_finger_hits_total", Counter, Sum, field!(finger_hits),
+        "Batch ops whose finger anchor revalidated."),
+    metric_row!("finger_misses", "nmbst_finger_misses_total", Counter, Sum, field!(finger_misses),
+        "Batch ops that fell back to a full root descent."),
+    metric_row!("run_riders", "nmbst_run_riders_total", Counter, Sum, field!(run_riders),
+        "Batch inserts published with an earlier insert's leaf group."),
+    metric_row!("size_estimate", "nmbst_size_estimate", Gauge, Sum, field!(size_estimate),
+        "Live keys (inserted - removed; exact at quiescence)."),
+    metric_row!("max_depth", "nmbst_max_depth", Gauge, Max, field!(max_depth),
+        "Deepest access path observed by a modify-path seek."),
+    metric_row!("depth_hist", "nmbst_descent_depth", Histogram, Sum, Value::Family(DEPTH),
+        "Nodes touched per modify-path descent."),
+    metric_row!("latency", "nmbst_op_latency_ns", Histogram, Sum, Value::Family(LATENCY),
+        "Sampled operation latency by op type (ns)."),
+    metric_row!("slow_ops", "nmbst_slow_ops_captured", Gauge, Sum, SLOW_OPS,
+        "Slow-op records currently in the capture ring."),
+    metric_row!("reclaim_epoch", "nmbst_reclaim_epoch", Gauge, Max, field!(reclaim.epoch),
+        "Reclaimer global epoch."),
+    metric_row!("reclaim_epoch_lag", "nmbst_reclaim_epoch_lag", Gauge, Max,
+        field!(reclaim.epoch_lag), "Global epoch minus oldest pinned epoch."),
+    metric_row!("reclaim_pinned_threads", "nmbst_reclaim_pinned_threads", Gauge, Sum,
+        field!(reclaim.pinned_threads), "Threads currently pinned."),
+    metric_row!("reclaim_retired_backlog", "nmbst_reclaim_retired_backlog", Gauge, Sum,
+        field!(reclaim.retired_backlog), "Objects retired but not yet freed."),
+    metric_row!("pool_hits", "nmbst_pool_hits_total", Counter, Sum, field!(pool.hits),
+        "Node allocations served from recycled pool memory."),
+    metric_row!("pool_misses", "nmbst_pool_misses_total", Counter, Sum, field!(pool.misses),
+        "Node allocations that fell through to the allocator."),
+    metric_row!("pool_recycled", "nmbst_pool_recycled_total", Counter, Sum, field!(pool.recycled),
+        "Reclaimed nodes returned to the pool."),
+    metric_row!("pool_dropped", "nmbst_pool_dropped_total", Counter, Sum, field!(pool.dropped),
+        "Reclaimed nodes the full or contended pool abandoned in place."),
+    metric_row!("pool_len", "nmbst_pool_len", Gauge, Sum, field!(pool.len),
+        "Free blocks currently in the shared pool."),
+    metric_row!("pool_capacity", "nmbst_pool_capacity", Gauge, Sum, field!(pool.capacity),
+        "Maximum free blocks the shared pool holds."),
+    metric_row!("pool_live", "nmbst_pool_live", Gauge, Sum, field!(pool.live),
+        "Arena slots in use: reachable, awaiting reclamation, or cached by handles."),
+    metric_row!("open_connections", "nmbst_serve_open_connections", Gauge, Sum,
+        field!(serve.open_connections),
+        "Connections currently registered with serving reactors."),
+    metric_row!("read_paused_connections", "nmbst_serve_read_paused_connections", Gauge, Sum,
+        field!(serve.read_paused_connections),
+        "Connections read-paused by write-buffer backpressure."),
+    metric_row!("write_buffered_bytes", "nmbst_serve_write_buffered_bytes", Gauge, Sum,
+        field!(serve.write_buffered_bytes),
+        "Bytes in not-yet-flushed per-connection write buffers."),
+    metric_row!("backpressure_events", "nmbst_serve_backpressure_events_total", Counter, Sum,
+        field!(serve.backpressure_events),
+        "Connections that transitioned into the read-paused state."),
+];

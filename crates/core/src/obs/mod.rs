@@ -44,8 +44,11 @@ mod trace;
 mod prom;
 
 pub use hist::{ConcurrentHistogram, Histogram, LatencySnapshot};
+pub use metrics::{
+    render_json, render_prometheus, Family, Kind, LatencyConfig, Merge, MetricsSnapshot, Row,
+    ServeGauges, Value, DEPTH_BUCKETS, METRIC_ROWS,
+};
 pub(crate) use metrics::{LatTimer, Metrics, PendingLat, PendingOps};
-pub use metrics::{LatencyConfig, MetricsSnapshot, ServeGauges, DEPTH_BUCKETS};
 pub use prom::validate_prometheus;
 pub use slow::{slow_event_name, SlowOp, SLOW_EVENTS};
 #[cfg(feature = "obs")]

@@ -61,8 +61,11 @@ use crate::wire::{
     self, op_name, BatchOp, BatchReply, MetricsFormat, Request, Response, OP_BATCH, OP_COUNT,
     STATUS_OK,
 };
+use nmbst::metric_row;
 use nmbst::obs::slow::SlowRing;
-use nmbst::obs::{Histogram, ServeGauges, SlowOp, SLOW_EVENTS};
+use nmbst::obs::{
+    render_json, render_prometheus, Family, Histogram, Row, ServeGauges, SlowOp, Value, SLOW_EVENTS,
+};
 use nmbst::{BatchCmd, BatchScratch, BatchVerdict, Ebr, ShardedMap, ShardedMapHandle, TreeConfig};
 use nmbst_sync::CachePadded;
 use std::io;
@@ -1202,200 +1205,113 @@ fn execute(
 }
 
 /// The METRICS verb's payload: the aggregated tree snapshot (with the
-/// fleet's serve gauges folded in) plus the server counters, in the
-/// requested exposition format.
+/// fleet's serve gauges folded in) plus the server's [`SERVER_ROWS`] and
+/// per-worker [`SERVE_ROWS`], in the requested exposition format.
 fn metrics_text(store: &Store, stats: &ServerStats, fmt: MetricsFormat) -> String {
     let mut snap = store.metrics();
     snap.serve = stats.serve_gauges();
     match fmt {
         MetricsFormat::Json => {
-            let ops: Vec<String> = stats.worker_ops().iter().map(u64::to_string).collect();
-            let per_worker = stats.worker_serve();
-            let col = |f: fn(&ServeGauges) -> u64| -> String {
-                per_worker
-                    .iter()
-                    .map(|g| f(g).to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            // Request timing: only opcodes that served frames, each as
-            // {"wire":{...},"decode":{...},"execute":{...},"encode":{...}}
-            // of compact histogram summaries.
-            let timing: Vec<String> = stats
-                .request_timing()
-                .iter()
-                .filter(|(_, p)| !p.wire.is_empty())
-                .map(|(op, p)| {
-                    let phases: Vec<String> = p
-                        .by_phase()
-                        .iter()
-                        .map(|(phase, h)| format!("\"{phase}\":{}", h.summary_json()))
-                        .collect();
-                    format!("\"{op}\":{{{}}}", phases.join(","))
-                })
-                .collect();
-            // Encode-bytes gauges: only opcodes that encoded anything,
-            // mirroring the timing filter.
-            let encoded: Vec<String> = stats
-                .encode_bytes()
-                .iter()
-                .filter(|(_, b)| *b != 0)
-                .map(|(op, b)| format!("\"{op}\":{b}"))
-                .collect();
             format!(
-                "{{\"tree\":{},\"server\":{{\"connections\":{},\"frames\":{},\
-                 \"wire_errors\":{},\"batch_fused_ops\":{},\"batch_single_ops\":{},\
-                 \"worker_ops\":[{}],\"encode_bytes\":{{{}}},\"timing\":{{{}}},\
-                 \"slow_frames\":{},\"serve\":{{\"open_connections\":[{}],\
-                 \"read_paused_connections\":[{}],\"write_buffered_bytes\":[{}],\
-                 \"backpressure_events\":[{}]}}}}}}",
+                "{{\"tree\":{},\"server\":{{{},\"serve\":{{{}}}}}}}",
                 snap.to_json(),
-                stats.connections(),
-                stats.frames(),
-                stats.wire_errors(),
-                stats.batch_fused_ops(),
-                stats.batch_single_ops(),
-                ops.join(","),
-                encoded.join(","),
-                timing.join(","),
-                stats.slow_frames_deposited(),
-                col(|g| g.open_connections),
-                col(|g| g.read_paused_connections),
-                col(|g| g.write_buffered_bytes),
-                col(|g| g.backpressure_events),
+                render_json(SERVER_ROWS, stats),
+                render_json(SERVE_ROWS, stats)
             )
         }
         MetricsFormat::Prometheus => {
-            let mut out = snap.to_prometheus();
-            out.push_str("# HELP nmbst_server_connections_total Connections accepted.\n");
-            out.push_str("# TYPE nmbst_server_connections_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_connections_total {}\n",
-                stats.connections()
-            ));
-            out.push_str("# HELP nmbst_server_frames_total Request frames served.\n");
-            out.push_str("# TYPE nmbst_server_frames_total counter\n");
-            out.push_str(&format!("nmbst_server_frames_total {}\n", stats.frames()));
-            out.push_str("# HELP nmbst_server_wire_errors_total Malformed frames.\n");
-            out.push_str("# TYPE nmbst_server_wire_errors_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_wire_errors_total {}\n",
-                stats.wire_errors()
-            ));
-            out.push_str(
-                "# HELP nmbst_server_batch_fused_ops_total BATCH ops executed shard-fused \
-                 (partition, per-shard sorted run, scatter).\n",
-            );
-            out.push_str("# TYPE nmbst_server_batch_fused_ops_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_batch_fused_ops_total {}\n",
-                stats.batch_fused_ops()
-            ));
-            out.push_str(
-                "# HELP nmbst_server_batch_single_ops_total BATCH ops executed unrolled in \
-                 request order (fusion disabled).\n",
-            );
-            out.push_str("# TYPE nmbst_server_batch_single_ops_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_batch_single_ops_total {}\n",
-                stats.batch_single_ops()
-            ));
-            // Encode-bytes counters: one labelled series per opcode that
-            // has encoded a response; header only when at least one
-            // exists (a declared metric with no samples fails
-            // exposition validation).
-            let encoded: Vec<_> = stats
-                .encode_bytes()
-                .into_iter()
-                .filter(|(_, b)| *b != 0)
-                .collect();
-            if !encoded.is_empty() {
-                out.push_str(
-                    "# HELP nmbst_server_encode_bytes_total Response frame bytes encoded per \
-                     opcode (body plus length prefix).\n",
-                );
-                out.push_str("# TYPE nmbst_server_encode_bytes_total counter\n");
-                for (op, b) in encoded {
-                    out.push_str(&format!(
-                        "nmbst_server_encode_bytes_total{{op=\"{op}\"}} {b}\n"
-                    ));
-                }
-            }
-            out.push_str(
-                "# HELP nmbst_server_worker_ops_total Tree ops routed through each worker's pinned handle.\n",
-            );
-            out.push_str("# TYPE nmbst_server_worker_ops_total counter\n");
-            for (w, n) in stats.worker_ops().iter().enumerate() {
-                out.push_str(&format!(
-                    "nmbst_server_worker_ops_total{{worker=\"{w}\"}} {n}\n"
-                ));
-            }
-            // Per-reactor connection gauges, one labelled series per
-            // worker (the aggregate rides in the snapshot's
-            // nmbst_serve_* family above).
-            let per_worker = stats.worker_serve();
-            let mut series = |name: &str, kind: &str, help: &str, f: fn(&ServeGauges) -> u64| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                for (w, g) in per_worker.iter().enumerate() {
-                    out.push_str(&format!("{name}{{worker=\"{w}\"}} {}\n", f(g)));
-                }
-            };
-            series(
-                "nmbst_server_open_connections",
-                "gauge",
-                "Connections registered with each reactor worker.",
-                |g| g.open_connections,
-            );
-            series(
-                "nmbst_server_read_paused_connections",
-                "gauge",
-                "Connections read-paused by backpressure, per worker.",
-                |g| g.read_paused_connections,
-            );
-            series(
-                "nmbst_server_write_buffered_bytes",
-                "gauge",
-                "Buffered response bytes per worker.",
-                |g| g.write_buffered_bytes,
-            );
-            series(
-                "nmbst_server_backpressure_events_total",
-                "counter",
-                "Read-pause transitions per worker.",
-                |g| g.backpressure_events,
-            );
-            // Request timing histograms: one series per served opcode
-            // per phase. The HELP/TYPE header is emitted only when at
-            // least one series exists — a declared metric with no
-            // samples fails exposition validation.
-            let timing = stats.request_timing();
-            let served: Vec<_> = timing.iter().filter(|(_, p)| !p.wire.is_empty()).collect();
-            if !served.is_empty() {
-                out.push_str(
-                    "# HELP nmbst_server_request_ns Request latency by opcode and phase (ns); \
-                     phase=\"wire\" is the whole frame, decode/execute/encode partition it.\n",
-                );
-                out.push_str("# TYPE nmbst_server_request_ns histogram\n");
-                for (op, p) in served {
-                    for (phase, h) in p.by_phase() {
-                        h.fmt_prometheus_series(
-                            &mut out,
-                            "nmbst_server_request_ns",
-                            &format!("op=\"{op}\",phase=\"{phase}\""),
-                        );
-                    }
-                }
-            }
-            out.push_str("# HELP nmbst_server_slow_frames_total Frames over the slow threshold.\n");
-            out.push_str("# TYPE nmbst_server_slow_frames_total counter\n");
-            out.push_str(&format!(
-                "nmbst_server_slow_frames_total {}\n",
-                stats.slow_frames_deposited()
-            ));
-            out
+            let server =
+                render_prometheus(SERVER_ROWS, stats) + &render_prometheus(SERVE_ROWS, stats);
+            snap.to_prometheus() + &server
         }
     }
 }
+
+/// Request timing: one `{op, phase}` histogram series per served opcode
+/// (opcodes that have served no frame are left out). `ServerStats` has
+/// no `Display` and never merges, so `show` and `fold` do nothing.
+const REQUEST_TIMING: Family<ServerStats> = Family {
+    json: |s| {
+        let ops: Vec<String> = served_timing(s)
+            .map(|(op, p)| {
+                let phases = p
+                    .by_phase()
+                    .map(|(ph, h)| format!("\"{ph}\":{}", h.summary_json()));
+                format!("\"{op}\":{{{}}}", phases.join(","))
+            })
+            .collect();
+        format!("{{{}}}", ops.join(","))
+    },
+    prom: |s, name, out| {
+        for (op, p) in served_timing(s) {
+            for (phase, h) in p.by_phase() {
+                h.fmt_prometheus_series(out, name, &format!("op=\"{op}\",phase=\"{phase}\""));
+            }
+        }
+    },
+    show: |_| String::new(),
+    fold: |_, _| {},
+};
+
+/// Per-opcode request timing of the opcodes that have served a frame.
+fn served_timing(s: &ServerStats) -> impl Iterator<Item = (&'static str, PhaseHists)> {
+    s.request_timing()
+        .into_iter()
+        .filter(|(_, p)| !p.wire.is_empty())
+}
+
+/// One per-worker column of the reactors' connection gauges.
+macro_rules! per_worker_serve {
+    ($f:ident) => {
+        Value::PerWorker(|s| s.worker_serve().iter().map(|g| g.$f).collect())
+    };
+}
+
+/// The server's own metrics, rendered after the store snapshot's rows.
+/// Values are read live from the atomics at scrape time.
+#[rustfmt::skip]
+static SERVER_ROWS: &[Row<ServerStats>] = &[
+    metric_row!("connections", "nmbst_server_connections_total", Counter, Sum,
+        Value::live(|s| s.connections().into()), "Connections accepted."),
+    metric_row!("frames", "nmbst_server_frames_total", Counter, Sum,
+        Value::live(|s| s.frames().into()), "Request frames served."),
+    metric_row!("wire_errors", "nmbst_server_wire_errors_total", Counter, Sum,
+        Value::live(|s| s.wire_errors().into()), "Malformed frames."),
+    metric_row!("batch_fused_ops", "nmbst_server_batch_fused_ops_total", Counter, Sum,
+        Value::live(|s| s.batch_fused_ops().into()),
+        "BATCH ops executed shard-fused (partition, per-shard sorted run, scatter)."),
+    metric_row!("batch_single_ops", "nmbst_server_batch_single_ops_total", Counter, Sum,
+        Value::live(|s| s.batch_single_ops().into()),
+        "BATCH ops executed unrolled in request order (fusion disabled)."),
+    metric_row!("worker_ops", "nmbst_server_worker_ops_total", Counter, Sum,
+        Value::PerWorker(|s| s.worker_ops()),
+        "Tree ops routed through each worker's pinned handle."),
+    metric_row!("encode_bytes", "nmbst_server_encode_bytes_total", Counter, Sum,
+        Value::PerOp(|s| s.encode_bytes().into_iter().filter(|(_, b)| *b != 0).collect()),
+        "Response frame bytes encoded per opcode (body plus length prefix)."),
+    metric_row!("timing", "nmbst_server_request_ns", Histogram, Sum,
+        Value::Family(REQUEST_TIMING),
+        "Request latency by opcode and phase (ns); phase=\"wire\" is the whole frame, \
+         decode/execute/encode partition it."),
+    metric_row!("slow_frames", "nmbst_server_slow_frames_total", Counter, Sum,
+        Value::live(|s| s.slow_frames_deposited().into()), "Frames over the slow threshold."),
+];
+
+/// Per-reactor connection gauges, one `worker`-labelled series each,
+/// nested under `"serve"` in JSON (the fleet aggregate rides in the
+/// store snapshot's `nmbst_serve_*` rows).
+#[rustfmt::skip]
+static SERVE_ROWS: &[Row<ServerStats>] = &[
+    metric_row!("open_connections", "nmbst_server_open_connections", Gauge, Sum,
+        per_worker_serve!(open_connections), "Connections registered with each reactor worker."),
+    metric_row!("read_paused_connections", "nmbst_server_read_paused_connections", Gauge, Sum,
+        per_worker_serve!(read_paused_connections),
+        "Connections read-paused by backpressure, per worker."),
+    metric_row!("write_buffered_bytes", "nmbst_server_write_buffered_bytes", Gauge, Sum,
+        per_worker_serve!(write_buffered_bytes), "Buffered response bytes per worker."),
+    metric_row!("backpressure_events", "nmbst_server_backpressure_events_total", Counter, Sum,
+        per_worker_serve!(backpressure_events), "Read-pause transitions per worker."),
+];
 
 /// In-process driver for the exact serving path the reactors run —
 /// frame bytes in, frame bytes out, through the same `Engine` —
