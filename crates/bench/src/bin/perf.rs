@@ -1,156 +1,90 @@
-//! The hot-path perf harness: machine-readable before/after cells for
-//! the PR 2 optimizations, the PR 4 node-recycling pool, the PR 5
-//! locality work (bulk-load + finger-anchored batches), the PR 6
-//! sharded serving tier, the PR 7 fat-leaf blocks, the PR 8
-//! latency-observability layer, the PR 9 reactor serving model, and
-//! the PR 10 shard-fused batch execution, written as
-//! `BENCH_PR10.json` (override the path with `NMBST_BENCH_JSON`).
+//! The perf harness: thirteen benches, each a row of [`ROWS`] that
+//! names its arms, its repeat policy, its shared config fields and its
+//! gates. One evaluator runs the rows, writes every cell to
+//! `BENCH_PR10.json` (override with `NMBST_BENCH_JSON`) in the
+//! `nmbst-bench-v1` schema shared with criterion-lite, prints one
+//! verdict line per gate, and exits non-zero if any gate fails. A gate
+//! is a *bound* (a tolerance below a control arm or a minimum speedup,
+//! each with an environment knob) or a *hard* structural predicate.
 //!
-//! Thirteen benches, each emitting `{bench, config, metrics}` cells in
-//! the `nmbst-bench-v1` schema shared with criterion-lite:
+//! * `single_thread_throughput` — one thread, the three Figure-4
+//!   mixes, the plain per-op-pin API vs a pin-amortizing handle. When
+//!   `NMBST_BASELINE_JSON` names a committed bench file, the mixed and
+//!   read-dominated cells must stay within `NMBST_PERF_TOLERANCE` of
+//!   it: that file is the only record of past throughput, so a
+//!   slowdown shows up here first.
+//! * `contended_throughput` — several threads on a 128-key range,
+//!   root vs local restart. Ungated: it records the seek and
+//!   local-restart counters that decide the `RestartPolicy` default.
+//! * `latency` — single-thread mixed per-op latency percentiles,
+//!   per-op-pin vs handle. Ungated.
+//! * `table1_exact` — the paper's Table-1 counts at `leaf_cap = 1`
+//!   (insert 2 allocs / 1 CAS, delete 0 allocs / 3 atomics) through
+//!   both APIs. Exact counts carry no noise, so any drift is a real
+//!   change to the update protocol.
+//! * `pool_ablation` — the node pool on vs off. Pool-on must not trail
+//!   pool-off on the write-dominated cell by more than
+//!   `NMBST_POOL_TOLERANCE` (the pool exists to win it), and the mixed
+//!   pool-on cell must record pool hits, or recycling is dead.
+//! * `leaf_ablation` — `leaf_cap = 1` (the one-key-per-leaf shape) vs
+//!   fat leaves. The fat read-dominated cell must not trail the thin
+//!   one by more than `NMBST_LEAF_TOLERANCE`, and the thin tree must be
+//!   strictly deeper; otherwise the ablation no longer reproduces the
+//!   old shape and the delta is not attributable to leaf compaction.
+//! * `bulk_load` — the O(n) balanced build vs handle loop-insert of the
+//!   same keys in shuffled order. It must be `NMBST_BULK_MIN_SPEEDUP`×
+//!   faster: it does no CAS work and never re-descends, so anything
+//!   less is structural, not jitter.
+//! * `sorted_batch` — Zipf-clustered ascending runs through the handle
+//!   batch entry points vs the same handle one key at a time. Batched
+//!   must not trail singles by more than `NMBST_BATCH_TOLERANCE`, and
+//!   must record finger hits; a dead finger means every batch op
+//!   silently became a root descent.
+//! * `obs_overhead` — default sampled latency recording vs disabled, as
+//!   interleaved pairs gated on the median per-pair on/off ratio
+//!   (adjacent runs share machine state, and the median drops pairs a
+//!   one-sided spike hit). The ratio must be finite and positive, must
+//!   stay within `NMBST_OBS_TOLERANCE` of 1 (the ≤3% observability
+//!   budget), and the recording-on cells must hold latency samples.
+//! * `serving_replay` — an `nmbst-server` on loopback driven by the
+//!   open-loop session replay (`NMBST_SESSIONS` sessions): calibrated
+//!   at drain rate, then paced at 70% of it so p999 means queueing, not
+//!   time-to-drain. Every worker must route ops through its pinned
+//!   handles, and peak capacity must stay within
+//!   `NMBST_SERVE_TOLERANCE` of the baseline cell. Client RTT and
+//!   server wire time bucket the same frames, so their counts must be
+//!   equal, the server p99 must sit within `NMBST_AGREE_TOLERANCE` of
+//!   the client p99 (two bucket errors), and the client p99 must not
+//!   exceed the server p99 by more than 100× (a unit-mismatch
+//!   tripwire).
+//! * `serving_churn` — the same replay with every client redialing
+//!   every 32 sessions, 16 connections over 2 workers. Every worker
+//!   must route ops, the fleet must be ≥ 8× the workers, connections
+//!   opened must exceed clients (it churned), every connection must
+//!   drain, and the paced run must finish within `NMBST_CHURN_SLACK` of
+//!   its schedule: a server that cannot sustain the load drains at
+//!   capacity and overruns at once.
+//! * `pipelining` — one client's seeded GET stream, blocking vs
+//!   pipelined, as interleaved pairs. Pipelined must be
+//!   `NMBST_PIPELINE_MIN_SPEEDUP`× blocking: it pays one RTT per window
+//!   instead of one per request.
+//! * `serving_batch_fusion` — drain-rate replays with ≤768-op frames
+//!   over 2^14 keys against servers with `fuse_batches` on vs off, as
+//!   interleaved pairs. Fused must not trail unrolled by more than
+//!   `NMBST_FUSION_TOLERANCE`, must record finger hits (sorted runs
+//!   arriving over TCP anchor), and both arms must execute ops through
+//!   their own path, or the A/B has no control.
 //!
-//! * `single_thread_throughput` — one thread, read-heavy / mixed /
-//!   write-heavy mixes, plain per-op-pin API vs a pin-amortizing
-//!   handle.
-//! * `contended_throughput` — several threads hammering a small key
-//!   range (write-heavy), root-restart vs local-restart retry policy,
-//!   with the seek/local-restart counters captured per cell.
-//! * `latency` — single-thread mixed-workload per-op latency
-//!   percentiles, per-op-pin vs handle.
-//! * `table1_exact` — the paper's Table-1 exact counts (insert: 2
-//!   allocs / 1 CAS; delete: 0 allocs / 3 atomics), measured through
-//!   both the plain API and a handle. **The process exits non-zero if
-//!   any exact count regresses**, which is the CI perf-smoke gate.
-//! * `pool_ablation` — the PR 4 one-flag A/B: the insert-heavy
-//!   (write-dominated) handle cell with the node pool on vs off, plus
-//!   mixed-workload cells, each embedding its obs snapshot so
-//!   `pool_hits` / `pool_recycled` are committed next to the
-//!   throughput they bought. **The process exits non-zero if pool-on
-//!   trails pool-off by more than `NMBST_POOL_TOLERANCE`** (default
-//!   0.10; CI uses a looser bound for jittery shared runners), or if
-//!   the mixed pool-on cell somehow recorded zero pool hits.
-//! * `leaf_ablation` — the PR 7 one-flag A/B: read-dominated and mixed
-//!   handle cells at `leaf_cap = 1` (every leaf a single key — the
-//!   PR 6 shape, on the new arena) vs the default fat-leaf capacity.
-//!   Each cell embeds its obs snapshot, so the committed file carries
-//!   the attribution: the thin tree's `max_depth`/`depth_hist` must
-//!   reproduce the old deep shape while the fat tree's is measurably
-//!   flatter. **The process exits non-zero if the fat read-dominated
-//!   cell trails the thin one by more than `NMBST_LEAF_TOLERANCE`**
-//!   (relative, default 0.05 — the fat leaves exist to *win* this
-//!   cell), **or if the thin tree's max depth is not strictly deeper**
-//!   (the ablation stopped reproducing the pre-PR 7 shape, so the cell
-//!   no longer attributes the win to leaf compaction).
-//! * `bulk_load` — the PR 5 O(n) balanced build:
-//!   `NmTreeSet::from_sorted_iter` over `NMBST_BULK_KEYS` keys (default
-//!   100 000) vs handle loop-inserting the same keys in *shuffled*
-//!   order (the honest baseline — sorted loop-insert degenerates to an
-//!   O(n²) spine and would flatter the bulk path). **The process exits
-//!   non-zero if the bulk build is not at least
-//!   `NMBST_BULK_MIN_SPEEDUP`× faster** (default 2.0).
-//! * `sorted_batch` — the PR 5 finger-anchored batch descent: identical
-//!   Zipf-clustered ascending key runs (length `NMBST_BATCH_LEN`,
-//!   default 32) driven through the handle batch entry points vs the
-//!   same handle one key at a time. **The process exits non-zero if
-//!   the batched cell trails singles by more than
-//!   `NMBST_BATCH_TOLERANCE`** (relative, default 0.05), **or if it
-//!   recorded zero `finger_hits`** — a dead finger means the anchor
-//!   gate is rejecting everything and the batch API has silently
-//!   degraded to root descents.
-//! * `serving_replay` — the PR 6 serving tier end to end: an
-//!   `nmbst-server` over a sharded store on loopback, driven by the
-//!   open-loop session replay in `nmbst-harness` (Zipf hot keys,
-//!   `NMBST_SESSIONS` simulated sessions, default 1 000 000). A
-//!   calibration pass at infinite arrival rate measures peak capacity,
-//!   then the measured runs replay at `NMBST_SERVE_UTIL` (default 0.7)
-//!   of that rate so p50/p99/p999 session latency reflects queueing
-//!   under a sustainable load, not time-to-drain. Median of three by
-//!   p999. **The process exits non-zero if any worker recorded zero
-//!   ops through its pinned handles** (worker/shard pinning broken),
-//!   **or if peak capacity trails the committed baseline cell by more
-//!   than `NMBST_SERVE_TOLERANCE`** (default 0.25 — loopback serving
-//!   on shared runners jitters far more than in-process cells).
-//!   The PR 8 agreement gate rides on the paced median run: the
-//!   client-observed per-bundle round-trip histogram and the server's
-//!   per-frame BATCH wire histogram time the *same frame population
-//!   with the same bucketing*, so their counts must match exactly and
-//!   the server-reported p99 must sit inside the client-observed p99
-//!   plus two-sided bucket error (`NMBST_AGREE_TOLERANCE`, default
-//!   0.15 ≈ 2 × 6.7%); the client p99 in turn must not exceed the
-//!   server p99 by more than `NMBST_AGREE_FACTOR` (default 100 — a
-//!   unit-mismatch tripwire, since loopback syscall overhead
-//!   legitimately dominates sub-10µs frames).
-//! * `obs_overhead` — the PR 8 one-flag A/B: the mixed and
-//!   read-dominated handle cells with latency recording at its default
-//!   sampling (`sample_shift = 6`, 1-in-64 point ops) vs
-//!   `LatencyConfig::disabled()`, run as 5 adjacent off/on pairs and
-//!   gated on the **median of the per-pair on/off ratios**. Adjacent
-//!   runs share machine state, so each pair's ratio cancels slow
-//!   drift, and the median rejects the occasional pair hit by a
-//!   one-sided interference spike (observed spikes of 7–20% dwarf the
-//!   ~0–1% true cost). **The process exits non-zero if the median
-//!   ratio trails 1.0 by more than `NMBST_OBS_TOLERANCE`**
-//!   (relative, default 0.03 — the issue's ≤3% observability budget,
-//!   now enforced rather than asserted).
-//! * `serving_churn` — the PR 9 connection-churn cell: the same
-//!   open-loop replay, but every client redials a fresh connection
-//!   every `sessions_per_conn` sessions through the pipelined client,
-//!   with concurrent connections ≥ 8× the worker count (16 conns / 2
-//!   workers) — the shape the pre-reactor one-connection-per-worker
-//!   server provably could not serve without backlog collapse.
-//!   Calibrated then paced at `NMBST_SERVE_UTIL`, median of three by
-//!   p999. **The process exits non-zero if any worker routed zero
-//!   ops**, **if the run did not actually churn** (connections opened
-//!   must exceed the concurrent fleet), **if any connection is stuck
-//!   open after the replay drains**, or **if the paced run overran its
-//!   own schedule by more than `NMBST_CHURN_SLACK`** (relative,
-//!   default 1.0 — a collapsed server drains at capacity, not at the
-//!   offered rate, and blows straight through the slack).
-//! * `pipelining` — the PR 9 client A/B: one client, the same seeded
-//!   uniform GET stream, blocking one-at-a-time vs pipelined with a
-//!   bounded in-flight window, run as interleaved pairs and compared
-//!   on median Mops/s. **The process exits non-zero if the pipelined
-//!   arm is not at least `NMBST_PIPELINE_MIN_SPEEDUP`× the blocking
-//!   arm** (default 2.0 — the win is one RTT per window instead of
-//!   one per request; if it can't clear 2× over loopback the window
-//!   is not actually in flight).
-//! * `serving_batch_fusion` — the PR 10 one-flag A/B: identical
-//!   drain-rate replays against servers with `fuse_batches` on (BATCH
-//!   frames partitioned by shard, sorted, and executed through
-//!   `execute_batch`, so wire batches inherit the finger-anchored
-//!   descent) vs off (the same ops unrolled one at a time through the
-//!   per-shard handles), run as interleaved pairs and compared on
-//!   median Mops/s. The cell serves the BATCH shape fusion targets:
-//!   high-occupancy frames (the replay's `coalesce`/`coalesce_ops`
-//!   knobs fill and cap them at `NMBST_FUSION_OPS`, default 768
-//!   ops/frame) over a dense 2^14 key range, where sorted per-shard
-//!   runs actually land on adjacent leaves. **The process exits non-zero
-//!   if the fused arm trails the unrolled arm by more than
-//!   `NMBST_FUSION_TOLERANCE`** (relative, default 0.05), **or if the
-//!   fused servers recorded zero `finger_hits`** — the end-to-end
-//!   proof that sorted per-shard runs arriving over TCP actually
-//!   anchor on the finger, not just in-process batches.
-//!
-//! On any gate failure the harness writes the slow-op records captured
-//! during the serving replay (server slow-frame ring + tree rings,
-//! slowest first, with flight-recorder event names where present) to
-//! `NMBST_SLOWLOG_PATH` (default `SLOWLOG_DUMP.txt`) so CI can upload
-//! the postmortem as an artifact.
-//!
-//! Knobs: `NMBST_SECS` (measured seconds per throughput cell, default
-//! 1.0; CI uses 0.2), `NMBST_KEYS` (first entry = single-thread key
-//! range), `NMBST_SEED`.
-//!
-//! Regression gate: when `NMBST_BASELINE_JSON` names a committed bench
-//! file, the mixed-workload single-thread cells are compared against it
-//! and the process exits non-zero if throughput dropped more than
-//! `NMBST_PERF_TOLERANCE` (default 0.03) — the observability layer's
-//! "no default-build slowdown" budget, enforced.
+//! On any gate failure the slow-op records of the median paced serving
+//! run go to `NMBST_SLOWLOG_PATH` (default `SLOWLOG_DUMP.txt`) for CI to
+//! upload. Other knobs: `NMBST_SECS` (seconds per throughput cell,
+//! default 1.0), `NMBST_KEYS` (first entry = single-thread key range),
+//! `NMBST_SEED`. A knob set to a value that does not parse is fatal.
 
 use criterion::json::{self, Json};
-use nmbst::obs::{MetricsSnapshot, SlowOp};
+use nmbst::obs::{MetricsSnapshot, OpClass, SlowOp};
 use nmbst::{LatencyConfig, NmTreeSet, PoolConfig, RestartPolicy, SetHandle, TagMode, TreeConfig};
-use nmbst_bench::SweepConfig;
+use nmbst_bench::{env_var, SweepConfig};
 use nmbst_harness::replay::{
     run_replay, run_replay_churn, ReplayConfig, ReplayReport, SessionOp, SessionTarget,
 };
@@ -160,9 +94,45 @@ use nmbst_harness::{Histogram, SortedBatchGen, Workload};
 use nmbst_reclaim::{Ebr, Leaky, Reclaim};
 use nmbst_server::wire::{BatchOp, Request, Response};
 use nmbst_server::{Client, Server, ServerConfig};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
+
+/// Client p99 may exceed server p99 by at most this factor: loopback
+/// syscalls legitimately dominate sub-10µs frames, but a µs/ns mix-up
+/// overshoots 100× at once.
+const AGREE_FACTOR: f64 = 100.0;
+/// Paced serving runs offer this fraction of calibrated peak capacity.
+const SERVE_UTIL: f64 = 0.7;
+/// Keys per bulk-load build: fixed, not time-budgeted, so the cell is
+/// comparable across `NMBST_SECS`.
+const BULK_KEYS: u64 = 100_000;
+/// Length of each sorted run in the `sorted_batch` cell.
+const BATCH_LEN: usize = 32;
+/// Op cap per coalesced BATCH frame in the fusion cell.
+const FUSION_OPS: usize = 768;
+/// The Table-1 metrics and the paper's value for each.
+const TABLE1: [(&str, f64); 4] = [
+    ("insert_allocs", 2.0),
+    ("delete_allocs", 0.0),
+    ("insert_atomics", 1.0),
+    ("delete_atomics", 3.0),
+];
+
+/// `vec![("key", Json::from(value)), …]`: a cell's config or metrics.
+macro_rules! fields {
+    ($($key:ident: $value:expr),* $(,)?) => {
+        vec![$((stringify!($key), Json::from($value))),*]
+    };
+}
+
+/// `[("name", value as f64), …]`: facts for [`Sample::with_facts`].
+macro_rules! facts {
+    ($($key:ident: $value:expr),* $(,)?) => {
+        [$((stringify!($key), $value as f64)),*]
+    };
+}
 
 /// Which front end drives the operations.
 #[derive(Clone, Copy, PartialEq)]
@@ -211,8 +181,29 @@ fn handle_op<R: Reclaim>(h: &mut SetHandle<'_, u64, R>, op: OpKind, key: u64) ->
     }
 }
 
-/// One single-thread throughput measurement; returns (Mops/s, ops,
-/// final metrics snapshot).
+/// Runs `op` on uniform keys and `workload` picks, 64 at a time, until
+/// `budget` passes; returns (ops, elapsed).
+fn timed(
+    budget: Duration,
+    rng: &mut XorShift64Star,
+    workload: Workload,
+    key_range: u64,
+    mut op: impl FnMut(OpKind, u64) -> bool,
+) -> (u64, Duration) {
+    let t0 = Instant::now();
+    let mut ops = 0u64;
+    while t0.elapsed() < budget {
+        for _ in 0..64 {
+            let key = 1 + rng.next_bounded(key_range);
+            std::hint::black_box(op(workload.pick(rng), key));
+            ops += 1;
+        }
+    }
+    (ops, t0.elapsed())
+}
+
+/// One single-thread throughput measurement after a short warmup;
+/// returns (Mops/s, ops, final metrics snapshot).
 fn single_thread_mops(
     api: Api,
     config: TreeConfig,
@@ -223,43 +214,23 @@ fn single_thread_mops(
 ) -> (f64, u64, MetricsSnapshot) {
     let set: NmTreeSet<u64, Ebr> = NmTreeSet::with_config(config);
     prepopulate(&set, key_range, seed);
-    let warmup = Duration::from_secs_f64((secs * 0.2).min(0.2));
-    let duration = Duration::from_secs_f64(secs);
     let mut rng = XorShift64Star::from_stream(seed, 1);
-    let mut ops = 0u64;
-    let mut elapsed = Duration::ZERO;
-
-    let mut phase = |budget: Duration, measured: bool, rng: &mut XorShift64Star| {
-        let t0 = Instant::now();
+    let mut phase = |secs: f64| {
+        let budget = Duration::from_secs_f64(secs);
         match api {
-            Api::PerOpPin => {
-                while t0.elapsed() < budget {
-                    for _ in 0..64 {
-                        let key = 1 + rng.next_bounded(key_range);
-                        std::hint::black_box(plain_op(&set, workload.pick(rng), key));
-                        if measured {
-                            ops += 1;
-                        }
-                    }
-                }
-            }
+            Api::PerOpPin => timed(budget, &mut rng, workload, key_range, |op, key| {
+                plain_op(&set, op, key)
+            }),
             Api::Handle => {
                 let mut h = set.handle();
-                while t0.elapsed() < budget {
-                    for _ in 0..64 {
-                        let key = 1 + rng.next_bounded(key_range);
-                        std::hint::black_box(handle_op(&mut h, workload.pick(rng), key));
-                        if measured {
-                            ops += 1;
-                        }
-                    }
-                }
+                timed(budget, &mut rng, workload, key_range, |op, key| {
+                    handle_op(&mut h, op, key)
+                })
             }
         }
-        t0.elapsed()
     };
-    phase(warmup, false, &mut rng);
-    elapsed += phase(duration, true, &mut rng);
+    phase((secs * 0.2).min(0.2));
+    let (ops, elapsed) = phase(secs);
     (ops as f64 / elapsed.as_secs_f64() / 1e6, ops, set.metrics())
 }
 
@@ -317,48 +288,44 @@ fn contended_mops(
     });
 
     let (ops, seeks, restarts) = *totals.lock().unwrap();
-    (
-        ops as f64 / elapsed.as_secs_f64() / 1e6,
-        ops,
-        seeks,
-        restarts,
-    )
+    let mops = ops as f64 / elapsed.as_secs_f64() / 1e6;
+    (mops, ops, seeks, restarts)
 }
 
 /// Single-thread per-op latency histogram over `ops` mixed operations.
 fn latency_hist(api: Api, key_range: u64, ops: u64, seed: u64) -> Histogram {
     let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
     prepopulate(&set, key_range, seed);
-    let workload = Workload::MIXED;
-    let mut rng = XorShift64Star::from_stream(seed, 2);
-    let mut hist = Histogram::new();
+    let rng = XorShift64Star::from_stream(seed, 2);
     match api {
-        Api::PerOpPin => {
-            for _ in 0..ops {
-                let key = 1 + rng.next_bounded(key_range);
-                let op = workload.pick(&mut rng);
-                let t0 = Instant::now();
-                std::hint::black_box(plain_op(&set, op, key));
-                hist.record(t0.elapsed().as_nanos() as u64);
-            }
-        }
+        Api::PerOpPin => time_each(rng, key_range, ops, |op, key| plain_op(&set, op, key)),
         Api::Handle => {
             let mut h = set.handle();
-            for _ in 0..ops {
-                let key = 1 + rng.next_bounded(key_range);
-                let op = workload.pick(&mut rng);
-                let t0 = Instant::now();
-                std::hint::black_box(handle_op(&mut h, op, key));
-                hist.record(t0.elapsed().as_nanos() as u64);
-            }
+            time_each(rng, key_range, ops, |op, key| handle_op(&mut h, op, key))
         }
+    }
+}
+
+fn time_each(
+    mut rng: XorShift64Star,
+    key_range: u64,
+    ops: u64,
+    mut op: impl FnMut(OpKind, u64) -> bool,
+) -> Histogram {
+    let mut hist = Histogram::new();
+    for _ in 0..ops {
+        let key = 1 + rng.next_bounded(key_range);
+        let kind = Workload::MIXED.pick(&mut rng);
+        let t0 = Instant::now();
+        std::hint::black_box(op(kind, key));
+        hist.record(t0.elapsed().as_nanos() as u64);
     }
     hist
 }
 
-/// Table-1 exact counts measured through the chosen front end; returns
-/// (insert allocs, delete allocs, insert atomics, delete atomics) per op.
-fn table1_counts(api: Api) -> (f64, f64, f64, f64) {
+/// Table-1 per-op counts measured through the chosen front end, in
+/// [`TABLE1`] order.
+fn table1_counts(api: Api) -> [f64; 4] {
     const BASE: u64 = 1_000;
     const OPS: u64 = 500;
     // leaf_cap = 1: the paper's Table-1 costs are stated for one-key
@@ -384,30 +351,25 @@ fn table1_counts(api: Api) -> (f64, f64, f64, f64) {
             assert!(run(k, OpKind::Delete), "uncontended delete failed");
         }
     });
-    (
-        ins.allocs as f64 / OPS as f64,
-        del.allocs as f64 / OPS as f64,
-        ins.atomics() as f64 / OPS as f64,
-        del.atomics() as f64 / OPS as f64,
-    )
+    [ins.allocs, del.allocs, ins.atomics(), del.atomics()].map(|n| n as f64 / OPS as f64)
 }
 
-/// Times one balanced bulk build of `1..=n` against handle
-/// loop-inserting the same keys in shuffled order; returns
-/// `(bulk_secs, loop_secs)`.
-///
-/// Shuffled, not sorted, for the loop baseline: sorted loop-insert
-/// builds a right spine and degenerates to O(n²), which would make the
-/// bulk path look better than it is. Shuffled insert builds a random
-/// (expected O(log n) depth) tree — the strongest incremental build
-/// the existing API offers.
-fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
+/// Seconds for one balanced bulk build of `1..=n`.
+fn bulk_build_secs(n: u64) -> f64 {
     let t0 = Instant::now();
     let bulk: NmTreeSet<u64, Ebr> = NmTreeSet::from_sorted_iter(1..=n);
-    let bulk_secs = t0.elapsed().as_secs_f64();
+    let secs = t0.elapsed().as_secs_f64();
     assert_eq!(bulk.count(), n as usize, "bulk build lost keys");
-    drop(bulk);
+    secs
+}
 
+/// Seconds for a handle loop-inserting `1..=n` in shuffled order.
+///
+/// Shuffled, not sorted: sorted loop-insert builds a right spine and
+/// degenerates to O(n²), which would make the bulk path look better
+/// than it is. Shuffled insert builds a random (expected O(log n)
+/// depth) tree — the strongest incremental build the API offers.
+fn loop_build_secs(n: u64, seed: u64) -> f64 {
     let mut keys: Vec<u64> = (1..=n).collect();
     let mut rng = XorShift64Star::from_stream(seed, 4);
     for i in (1..keys.len()).rev() {
@@ -415,15 +377,15 @@ fn bulk_load_pair(n: u64, seed: u64) -> (f64, f64) {
         keys.swap(i, j);
     }
     let set: NmTreeSet<u64, Ebr> = NmTreeSet::new();
-    let t1 = Instant::now();
+    let t0 = Instant::now();
     let mut h = set.handle();
     for &k in &keys {
         std::hint::black_box(h.insert(k));
     }
     drop(h);
-    let loop_secs = t1.elapsed().as_secs_f64();
+    let secs = t0.elapsed().as_secs_f64();
     assert_eq!(set.count(), n as usize, "loop build lost keys");
-    (bulk_secs, loop_secs)
+    secs
 }
 
 /// One single-thread sorted-batch throughput measurement: identical
@@ -443,1065 +405,46 @@ fn sorted_batch_mops(
     prepopulate(&set, key_range, seed);
     let gen = SortedBatchGen::new(key_range, batch_len, 0.8);
     let workload = Workload::MIXED;
-    let warmup = Duration::from_secs_f64((secs * 0.2).min(0.2));
-    let duration = Duration::from_secs_f64(secs);
     let mut rng = XorShift64Star::from_stream(seed, 5);
     let mut buf = Vec::with_capacity(batch_len);
     let mut h = set.handle();
-    let mut ops = 0u64;
-    let mut elapsed = Duration::ZERO;
-
-    let mut phase = |budget: Duration, measured: bool, rng: &mut XorShift64Star| {
+    let mut phase = |secs: f64| {
+        let budget = Duration::from_secs_f64(secs);
         let t0 = Instant::now();
+        let mut ops = 0u64;
         while t0.elapsed() < budget {
             for _ in 0..4 {
-                gen.fill(rng, &mut buf);
-                let op = workload.pick(rng);
-                if batched {
-                    match op {
-                        OpKind::Search => {
-                            std::hint::black_box(h.contains_batch(buf.iter().copied()));
-                        }
-                        OpKind::Insert => {
-                            std::hint::black_box(h.insert_batch(buf.iter().copied()));
-                        }
-                        OpKind::Delete => {
-                            std::hint::black_box(h.remove_batch(buf.iter().copied()));
-                        }
-                    }
-                } else {
+                gen.fill(&mut rng, &mut buf);
+                let op = workload.pick(&mut rng);
+                let keys = buf.iter().copied();
+                if !batched {
                     for &key in &buf {
                         std::hint::black_box(handle_op(&mut h, op, key));
                     }
+                } else if op == OpKind::Search {
+                    std::hint::black_box(h.contains_batch(keys));
+                } else if op == OpKind::Insert {
+                    std::hint::black_box(h.insert_batch(keys));
+                } else {
+                    std::hint::black_box(h.remove_batch(keys));
                 }
-                if measured {
-                    ops += buf.len() as u64;
-                }
+                ops += buf.len() as u64;
             }
         }
-        t0.elapsed()
+        (ops, t0.elapsed())
     };
-    phase(warmup, false, &mut rng);
-    elapsed += phase(duration, true, &mut rng);
+    phase((secs * 0.2).min(0.2));
+    let (ops, elapsed) = phase(secs);
     drop(h);
     (ops as f64 / elapsed.as_secs_f64() / 1e6, ops, set.metrics())
 }
 
-fn main() {
-    let cfg = SweepConfig::from_env();
-    let secs = cfg.duration.as_secs_f64();
-    let seed = cfg.seed;
-    let key_range = cfg.key_ranges.first().copied().unwrap_or(1_000).max(64);
-    let latency_ops = ((secs * 200_000.0) as u64).clamp(10_000, 2_000_000);
-    // Conflict-dense on purpose: local restarts only pay off when CAS
-    // failures actually happen, so this cell packs many writers into a
-    // small key range.
-    let contended_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(4, 8);
-    let contended_range = 128;
-    let out_path = std::env::var(criterion::BENCH_JSON_ENV)
-        .ok()
-        .filter(|p| !p.is_empty())
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
-
-    let mut cells: Vec<Json> = Vec::new();
-
-    // Single-core containers schedule-jitter individual runs by 10%+;
-    // the median of three repeats per cell is stable enough to commit.
-    const REPEATS: usize = 3;
-    println!(
-        "== single-thread throughput (key range {key_range}, {secs:.2}s/cell, median of {REPEATS}) =="
-    );
-    let mut gate_mops: Vec<(&'static str, &'static str, f64)> = Vec::new();
-    for workload in Workload::FIGURE4 {
-        for api in [Api::PerOpPin, Api::Handle] {
-            let mut runs: Vec<(f64, u64, MetricsSnapshot)> = (0..REPEATS)
-                .map(|_| {
-                    single_thread_mops(api, TreeConfig::default(), workload, key_range, secs, seed)
-                })
-                .collect();
-            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (mops, ops, snap) = runs.swap_remove(REPEATS / 2);
-            println!(
-                "  {:<24} {:<10} {mops:.3} Mops/s",
-                workload.name,
-                api.label()
-            );
-            if workload.name == Workload::MIXED.name
-                || workload.name == Workload::READ_DOMINATED.name
-            {
-                gate_mops.push((workload.name, api.label(), mops));
-            }
-            cells.push(json::cell(
-                "single_thread_throughput",
-                Json::obj([
-                    ("workload", Json::from(workload.name)),
-                    ("api", Json::from(api.label())),
-                    ("threads", Json::Int(1)),
-                    ("key_range", Json::from(key_range)),
-                    ("secs", Json::Num(secs)),
-                    ("seed", Json::from(seed)),
-                    ("repeats", Json::from(REPEATS)),
-                ]),
-                Json::obj([
-                    ("mops", Json::Num(mops)),
-                    ("ops", Json::from(ops)),
-                    ("obs", snapshot_json(&snap)),
-                ]),
-            ));
-        }
+fn to_batch_op(op: SessionOp) -> BatchOp {
+    match op {
+        SessionOp::Get(k) => BatchOp::Get(k),
+        SessionOp::Insert(k, v) => BatchOp::Insert(k, v),
+        SessionOp::Remove(k) => BatchOp::Remove(k),
     }
-
-    println!(
-        "== contended throughput ({contended_threads} threads, key range {contended_range}, write-heavy) =="
-    );
-    for restart in [RestartPolicy::Root, RestartPolicy::Local] {
-        let label = match restart {
-            RestartPolicy::Root => "root",
-            RestartPolicy::Local => "local",
-        };
-        let (mops, ops, seeks, restarts) =
-            contended_mops(restart, contended_threads, contended_range, secs, seed);
-        println!(
-            "  restart={label:<6} {mops:.3} Mops/s  (seeks {seeks}, local restarts {restarts})"
-        );
-        cells.push(json::cell(
-            "contended_throughput",
-            Json::obj([
-                ("workload", Json::from(Workload::WRITE_DOMINATED.name)),
-                ("restart", Json::from(label)),
-                ("threads", Json::from(contended_threads)),
-                ("key_range", Json::from(contended_range)),
-                ("secs", Json::Num(secs)),
-                ("seed", Json::from(seed)),
-            ]),
-            Json::obj([
-                ("mops", Json::Num(mops)),
-                ("ops", Json::from(ops)),
-                ("seeks", Json::from(seeks)),
-                ("local_restarts", Json::from(restarts)),
-            ]),
-        ));
-    }
-
-    println!("== latency percentiles (1 thread, mixed, {latency_ops} ops) ==");
-    for api in [Api::PerOpPin, Api::Handle] {
-        let hist = latency_hist(api, key_range, latency_ops, seed);
-        let (p50, p99, p999) = (
-            hist.percentile(50.0),
-            hist.percentile(99.0),
-            hist.percentile(99.9),
-        );
-        println!(
-            "  {:<10} p50 {p50} ns, p99 {p99} ns, p99.9 {p999} ns",
-            api.label()
-        );
-        cells.push(json::cell(
-            "latency",
-            Json::obj([
-                ("workload", Json::from(Workload::MIXED.name)),
-                ("api", Json::from(api.label())),
-                ("threads", Json::Int(1)),
-                ("key_range", Json::from(key_range)),
-                ("ops", Json::from(latency_ops)),
-                ("seed", Json::from(seed)),
-            ]),
-            Json::obj([
-                ("p50_ns", Json::from(p50)),
-                ("p99_ns", Json::from(p99)),
-                ("p999_ns", Json::from(p999)),
-                ("mean_ns", Json::Num(hist.mean())),
-                ("max_ns", Json::from(hist.max())),
-            ]),
-        ));
-    }
-
-    println!("== Table-1 exact counts ==");
-    let mut table1_ok = true;
-    for api in [Api::PerOpPin, Api::Handle] {
-        let (ia, da, iat, dat) = table1_counts(api);
-        let ok = ia == 2.0 && da == 0.0 && iat == 1.0 && dat == 3.0;
-        table1_ok &= ok;
-        println!(
-            "  {:<10} insert {ia:.2} allocs / {iat:.2} atomics, delete {da:.2} allocs / {dat:.2} atomics  [{}]",
-            api.label(),
-            if ok { "ok" } else { "REGRESSED" },
-        );
-        cells.push(json::cell(
-            "table1_exact",
-            Json::obj([
-                ("api", Json::from(api.label())),
-                ("tag_mode", Json::from(format!("{:?}", TagMode::FetchOr))),
-            ]),
-            Json::obj([
-                ("insert_allocs", Json::Num(ia)),
-                ("delete_allocs", Json::Num(da)),
-                ("insert_atomics", Json::Num(iat)),
-                ("delete_atomics", Json::Num(dat)),
-                ("ok", Json::Bool(ok)),
-            ]),
-        ));
-    }
-
-    // The PR 4 ablation: identical insert-heavy handle cells, the only
-    // difference being `TreeConfig::pool`. Pool-on reuses grace-period-
-    // expired nodes instead of round-tripping the global allocator, so
-    // it must at least hold the line; the mixed cells record the steady
-    // hit rate a balanced workload sustains.
-    println!("== pool ablation (1 thread, handle, key range {key_range}, median of {REPEATS}) ==");
-    let mut pool_gate_ok = true;
-    let mut insert_heavy = [0.0f64; 2]; // [pool-off, pool-on] Mops/s
-    for workload in [Workload::WRITE_DOMINATED, Workload::MIXED] {
-        for pool_on in [false, true] {
-            let pool = if pool_on {
-                PoolConfig::default()
-            } else {
-                PoolConfig::disabled()
-            };
-            let config = TreeConfig::default().with_pool(pool);
-            let mut runs: Vec<(f64, u64, MetricsSnapshot)> = (0..REPEATS)
-                .map(|_| single_thread_mops(Api::Handle, config, workload, key_range, secs, seed))
-                .collect();
-            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (mops, ops, snap) = runs.swap_remove(REPEATS / 2);
-            println!(
-                "  {:<24} pool={:<4} {mops:.3} Mops/s  (pool_hits {}, recycled {})",
-                workload.name,
-                if pool_on { "on" } else { "off" },
-                snap.pool.hits,
-                snap.pool.recycled,
-            );
-            if workload.name == Workload::WRITE_DOMINATED.name {
-                insert_heavy[pool_on as usize] = mops;
-            }
-            if pool_on && workload.name == Workload::MIXED.name && snap.pool.hits == 0 {
-                eprintln!("error: mixed pool-on cell recorded zero pool hits — recycling is dead");
-                pool_gate_ok = false;
-            }
-            cells.push(json::cell(
-                "pool_ablation",
-                Json::obj([
-                    ("workload", Json::from(workload.name)),
-                    ("api", Json::from(Api::Handle.label())),
-                    ("pool", Json::from(if pool_on { "on" } else { "off" })),
-                    ("pool_capacity", Json::from(pool.capacity)),
-                    ("threads", Json::Int(1)),
-                    ("key_range", Json::from(key_range)),
-                    ("secs", Json::Num(secs)),
-                    ("seed", Json::from(seed)),
-                    ("repeats", Json::from(REPEATS)),
-                ]),
-                Json::obj([
-                    ("mops", Json::Num(mops)),
-                    ("ops", Json::from(ops)),
-                    ("obs", snapshot_json(&snap)),
-                ]),
-            ));
-        }
-    }
-    pool_gate_ok &= check_pool_gate(insert_heavy[0], insert_heavy[1]);
-
-    // The PR 7 ablation: identical handle cells, the only difference
-    // being `TreeConfig::leaf_cap`. Capacity 1 reproduces the pre-PR 7
-    // one-key-per-leaf shape on the same arena, so the delta isolates
-    // the fat-leaf blocks (shorter descents, one cache line per final
-    // hop) from everything else this PR changed.
-    println!("== leaf ablation (1 thread, handle, key range {key_range}, median of {REPEATS}) ==");
-    let mut leaf_read_dom = [0.0f64; 2]; // [cap 1, cap 8] Mops/s
-    let mut leaf_depths = [0u64; 2]; // [cap 1, cap 8] max observed depth
-    for workload in [Workload::READ_DOMINATED, Workload::MIXED] {
-        for fat in [false, true] {
-            let leaf_cap = if fat { nmbst::LEAF_CAP } else { 1 };
-            let config = TreeConfig::default().with_leaf_cap(leaf_cap);
-            let mut runs: Vec<(f64, u64, MetricsSnapshot)> = (0..REPEATS)
-                .map(|_| single_thread_mops(Api::Handle, config, workload, key_range, secs, seed))
-                .collect();
-            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (mops, ops, snap) = runs.swap_remove(REPEATS / 2);
-            println!(
-                "  {:<24} leaf_cap={leaf_cap} {mops:.3} Mops/s  (max_depth {})",
-                workload.name, snap.max_depth,
-            );
-            if workload.name == Workload::READ_DOMINATED.name {
-                leaf_read_dom[fat as usize] = mops;
-                leaf_depths[fat as usize] = snap.max_depth;
-            }
-            cells.push(json::cell(
-                "leaf_ablation",
-                Json::obj([
-                    ("workload", Json::from(workload.name)),
-                    ("api", Json::from(Api::Handle.label())),
-                    ("leaf_cap", Json::from(leaf_cap as u64)),
-                    ("threads", Json::Int(1)),
-                    ("key_range", Json::from(key_range)),
-                    ("secs", Json::Num(secs)),
-                    ("seed", Json::from(seed)),
-                    ("repeats", Json::from(REPEATS)),
-                ]),
-                Json::obj([
-                    ("mops", Json::Num(mops)),
-                    ("ops", Json::from(ops)),
-                    ("obs", snapshot_json(&snap)),
-                ]),
-            ));
-        }
-    }
-    let leaf_gate_ok = check_leaf_gate(leaf_read_dom, leaf_depths);
-
-    // The PR 5 bulk-load cell. Fixed key count (not time-budgeted):
-    // build cost is what's being measured, and a fixed n keeps the cell
-    // comparable across runs regardless of NMBST_SECS.
-    let bulk_keys = std::env::var("NMBST_BULK_KEYS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(100_000)
-        // Below ~10k keys the fixed per-tree costs (pool setup, first
-        // allocations) drown the asymptotic difference and the 2× gate
-        // stops measuring anything; clamp overrides to a meaningful n.
-        .max(10_000);
-    println!(
-        "== bulk load ({bulk_keys} keys, bulk vs shuffled handle loop, median of {REPEATS}) =="
-    );
-    let mut pairs: Vec<(f64, f64)> = (0..REPEATS)
-        .map(|_| bulk_load_pair(bulk_keys, seed))
-        .collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let bulk_secs = pairs[REPEATS / 2].0;
-    pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let loop_secs = pairs[REPEATS / 2].1;
-    let speedup = loop_secs / bulk_secs;
-    let bulk_gate_ok = check_bulk_gate(bulk_secs, loop_secs, bulk_keys);
-    cells.push(json::cell(
-        "bulk_load",
-        Json::obj([
-            ("keys", Json::from(bulk_keys)),
-            ("loop_order", Json::from("shuffled")),
-            ("loop_api", Json::from(Api::Handle.label())),
-            ("seed", Json::from(seed)),
-            ("repeats", Json::from(REPEATS)),
-        ]),
-        Json::obj([
-            ("bulk_secs", Json::Num(bulk_secs)),
-            ("loop_secs", Json::Num(loop_secs)),
-            ("speedup", Json::Num(speedup)),
-            (
-                "bulk_mkeys_per_sec",
-                Json::Num(bulk_keys as f64 / bulk_secs / 1e6),
-            ),
-        ]),
-    ));
-
-    // The PR 5 sorted-batch cell: same clustered ascending runs, batch
-    // entry points vs one-at-a-time on the same handle.
-    let batch_len = std::env::var("NMBST_BATCH_LEN")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(32)
-        .max(2);
-    println!(
-        "== sorted batch (key range {key_range}, runs of {batch_len}, {secs:.2}s/cell, median of {REPEATS}) =="
-    );
-    let mut batch_mops = [0.0f64; 2]; // [singles, batched]
-    let mut batch_snap: Option<MetricsSnapshot> = None;
-    for batched in [false, true] {
-        let mut runs: Vec<(f64, u64, MetricsSnapshot)> = (0..REPEATS)
-            .map(|_| sorted_batch_mops(batched, key_range, batch_len, secs, seed))
-            .collect();
-        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (mops, ops, snap) = runs.swap_remove(REPEATS / 2);
-        let label = if batched { "batched" } else { "singles" };
-        println!(
-            "  {label:<10} {mops:.3} Mops/s  (finger hits {}, misses {})",
-            snap.finger_hits, snap.finger_misses
-        );
-        batch_mops[batched as usize] = mops;
-        cells.push(json::cell(
-            "sorted_batch",
-            Json::obj([
-                ("workload", Json::from(Workload::MIXED.name)),
-                ("api", Json::from(label)),
-                ("batch_len", Json::from(batch_len)),
-                ("threads", Json::Int(1)),
-                ("key_range", Json::from(key_range)),
-                ("secs", Json::Num(secs)),
-                ("seed", Json::from(seed)),
-                ("repeats", Json::from(REPEATS)),
-            ]),
-            Json::obj([
-                ("mops", Json::Num(mops)),
-                ("ops", Json::from(ops)),
-                ("obs", snapshot_json(&snap)),
-            ]),
-        ));
-        if batched {
-            batch_snap = Some(snap);
-        }
-    }
-    let batch_gate_ok = check_batch_gate(
-        batch_mops[0],
-        batch_mops[1],
-        batch_snap.as_ref().map_or(0, |s| s.finger_hits),
-    );
-
-    // The PR 8 ablation: identical handle cells, the only difference
-    // being `TreeConfig::lat` (default sampled recording vs disabled).
-    // Runs are interleaved off/on per repeat, and the gate compares
-    // the MEDIAN of the per-pair on/off ratios, not medians of arms:
-    // interference on this box slows single runs by up to ~20% while
-    // the true recording cost at 1-in-64 sampling is ~1%, so any
-    // estimator that pairs an afflicted run from one arm against a
-    // clean run from the other manufactures a phantom cost (or a
-    // phantom win). Adjacent runs share the machine's state, so each
-    // pair's ratio isolates the one-flag delta, and the median
-    // rejects the pairs where a spike landed inside one half.
-    const OBS_REPEATS: usize = 5;
-    let period = 1u64 << LatencyConfig::default().sample_shift;
-    println!(
-        "== obs overhead (1 thread, handle, key range {key_range}, sampled 1-in-{period}, median on/off ratio of {OBS_REPEATS} interleaved pairs) =="
-    );
-    let mut obs_ratio = f64::NAN; // mixed-cell median pairwise on/off ratio
-    for workload in [Workload::MIXED, Workload::READ_DOMINATED] {
-        let mut runs: [Vec<(f64, u64, MetricsSnapshot)>; 2] = [Vec::new(), Vec::new()];
-        let mut ratios = Vec::with_capacity(OBS_REPEATS);
-        for _ in 0..OBS_REPEATS {
-            for (on, arm) in runs.iter_mut().enumerate() {
-                let lat = if on == 1 {
-                    LatencyConfig::default()
-                } else {
-                    LatencyConfig::disabled()
-                };
-                let config = TreeConfig::default().with_latency(lat);
-                arm.push(single_thread_mops(
-                    Api::Handle,
-                    config,
-                    workload,
-                    key_range,
-                    secs,
-                    seed,
-                ));
-            }
-            ratios.push(runs[1].last().unwrap().0 / runs[0].last().unwrap().0);
-        }
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        let median_ratio = ratios[OBS_REPEATS / 2];
-        println!(
-            "  {:<24} pair ratios {:?}  median {median_ratio:.4}",
-            workload.name,
-            ratios
-                .iter()
-                .map(|r| (r * 1e4).round() / 1e4)
-                .collect::<Vec<_>>(),
-        );
-        if workload.name == Workload::MIXED.name {
-            obs_ratio = median_ratio;
-        }
-        for (on, arm) in runs.iter_mut().enumerate() {
-            arm.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (mops, ops, snap) = arm.swap_remove(OBS_REPEATS / 2);
-            let label = if on == 1 { "on" } else { "off" };
-            println!(
-                "  {:<24} recording={label:<4} {mops:.3} Mops/s  (lat samples {}, slow ops {})",
-                workload.name,
-                snap.latency.len(),
-                snap.slow_ops.len(),
-            );
-            if on == 1 && snap.latency.is_empty() {
-                // Sampled recording over seconds of ops cannot miss
-                // unless recording is broken outright.
-                eprintln!("error: recording-on cell captured zero latency samples");
-                obs_ratio = 0.0;
-            }
-            cells.push(json::cell(
-                "obs_overhead",
-                Json::obj([
-                    ("workload", Json::from(workload.name)),
-                    ("api", Json::from(Api::Handle.label())),
-                    ("recording", Json::from(label)),
-                    (
-                        "sample_shift",
-                        Json::from(u64::from(LatencyConfig::default().sample_shift)),
-                    ),
-                    ("threads", Json::Int(1)),
-                    ("key_range", Json::from(key_range)),
-                    ("secs", Json::Num(secs)),
-                    ("seed", Json::from(seed)),
-                    ("repeats", Json::from(OBS_REPEATS)),
-                ]),
-                Json::obj([
-                    ("mops", Json::Num(mops)),
-                    ("ops", Json::from(ops)),
-                    ("lat_samples", Json::from(snap.latency.len())),
-                    ("pair_ratio_median", Json::Num(median_ratio)),
-                    ("obs", snapshot_json(&snap)),
-                ]),
-            ));
-        }
-    }
-    let obs_gate_ok = check_obs_gate(obs_ratio);
-
-    // The PR 6 serving cell: open-loop session replay against the TCP
-    // server over loopback. Calibrate peak capacity first (every
-    // session due at t=0), then measure tail latency at a sustainable
-    // fraction of it so p999 means queueing, not time-to-drain.
-    let sessions = std::env::var("NMBST_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1_000_000)
-        .max(1_000);
-    let util = std::env::var("NMBST_SERVE_UTIL")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.7)
-        .clamp(0.05, 1.0);
-    let serve_workers = 2;
-    let replay_cfg = ReplayConfig {
-        sessions,
-        clients: serve_workers,
-        seed,
-        ..ReplayConfig::default()
-    };
-    println!(
-        "== serving replay ({sessions} sessions, {serve_workers} workers/clients, Zipf θ={}, util {util:.2}, median of {REPEATS}) ==",
-        replay_cfg.zipf_theta
-    );
-    // Calibrate over the *full* session count: the store grows over the
-    // run (mixed mix nets ~+10% keys), so a short calibration measures
-    // a small, fast tree and overestimates the sustainable rate — the
-    // paced runs would then queue without bound and report drain time,
-    // not latency.
-    let calib_cfg = ReplayConfig {
-        arrival_rate: f64::INFINITY,
-        ..replay_cfg.clone()
-    };
-    let calib = serving_replay_run(&calib_cfg, serve_workers, true).report;
-    let max_rate = calib.sessions_per_sec();
-    let max_mops = calib.mops();
-    println!("  peak capacity      {max_rate:.0} sessions/s  ({max_mops:.3} Mops/s)");
-    let paced_cfg = ReplayConfig {
-        arrival_rate: max_rate * util,
-        ..replay_cfg.clone()
-    };
-    let mut serve_runs: Vec<ServeRun> = (0..REPEATS)
-        .map(|_| serving_replay_run(&paced_cfg, serve_workers, true))
-        .collect();
-    serve_runs.sort_by_key(|r| r.report.percentile_ns(99.9));
-    let run = &serve_runs[REPEATS / 2];
-    let (report, serve_snap, worker_ops) = (&run.report, &run.snap, &run.worker_ops);
-    println!(
-        "  paced @ {:.0}/s      {:.3} Mops/s  p50 {}µs  p99 {}µs  p999 {}µs",
-        paced_cfg.arrival_rate,
-        report.mops(),
-        report.percentile_ns(50.0) / 1_000,
-        report.percentile_ns(99.0) / 1_000,
-        report.percentile_ns(99.9) / 1_000,
-    );
-    println!(
-        "  server-side        BATCH wire p50 {}µs  p99 {}µs  ({} frames, {} slow records)",
-        run.batch_wire.percentile(50.0) / 1_000,
-        run.batch_wire.percentile(99.0) / 1_000,
-        run.batch_wire.len(),
-        run.slow.len(),
-    );
-    cells.push(json::cell(
-        "serving_replay",
-        Json::obj([
-            ("workload", Json::from(paced_cfg.workload.name)),
-            ("sessions", Json::from(sessions)),
-            (
-                "ops_per_session",
-                Json::from(u64::from(paced_cfg.ops_per_session)),
-            ),
-            ("workers", Json::from(serve_workers)),
-            ("clients", Json::from(paced_cfg.clients)),
-            ("key_range", Json::from(paced_cfg.key_range)),
-            ("zipf_theta", Json::Num(paced_cfg.zipf_theta)),
-            ("util", Json::Num(util)),
-            ("arrival_rate", Json::Num(paced_cfg.arrival_rate)),
-            ("seed", Json::from(seed)),
-            ("repeats", Json::from(REPEATS)),
-        ]),
-        Json::obj([
-            ("max_mops", Json::Num(max_mops)),
-            ("max_sessions_per_sec", Json::Num(max_rate)),
-            ("mops", Json::Num(report.mops())),
-            ("sessions_per_sec", Json::Num(report.sessions_per_sec())),
-            ("ops", Json::from(report.ops)),
-            ("p50_ns", Json::from(report.percentile_ns(50.0))),
-            ("p99_ns", Json::from(report.percentile_ns(99.0))),
-            ("p999_ns", Json::from(report.percentile_ns(99.9))),
-            ("client_rtt_p50_ns", Json::from(report.rtt.percentile(50.0))),
-            ("client_rtt_p99_ns", Json::from(report.rtt.percentile(99.0))),
-            (
-                "server_wire_p50_ns",
-                Json::from(run.batch_wire.percentile(50.0)),
-            ),
-            (
-                "server_wire_p99_ns",
-                Json::from(run.batch_wire.percentile(99.0)),
-            ),
-            ("frames", Json::from(run.batch_wire.len())),
-            ("slow_records", Json::from(run.slow.len())),
-            ("batch_fused_ops", Json::from(run.batch_fused_ops)),
-            (
-                "worker_ops",
-                Json::Arr(worker_ops.iter().map(|&o| Json::from(o)).collect()),
-            ),
-            ("obs", snapshot_json(serve_snap)),
-        ]),
-    ));
-    let serving_gate_ok = check_serving_gate(max_mops, worker_ops);
-    let agreement_ok = check_latency_agreement(&report.rtt, &run.batch_wire);
-
-    // The PR 9 churn cell: same replay engine, but every client redials
-    // a fresh connection every `sessions_per_conn` sessions and ships
-    // its bundles as pipelined per-session BATCH frames. 16 concurrent
-    // connections against 2 workers: the pre-reactor server (one
-    // connection served to completion per worker) could not serve this
-    // shape at all.
-    let churn_workers = 2;
-    let churn_clients = churn_workers * 8;
-    let churn_sessions = (sessions / 4).max(1_000);
-    let churn_cfg = ReplayConfig {
-        sessions: churn_sessions,
-        clients: churn_clients,
-        sessions_per_conn: 32,
-        seed,
-        ..ReplayConfig::default()
-    };
-    println!(
-        "== serving churn ({churn_sessions} sessions, {churn_workers} workers, {churn_clients} conns redialing every {} sessions, util {util:.2}, median of {REPEATS}) ==",
-        churn_cfg.sessions_per_conn
-    );
-    let churn_calib_cfg = ReplayConfig {
-        arrival_rate: f64::INFINITY,
-        ..churn_cfg.clone()
-    };
-    let churn_calib = serving_churn_run(&churn_calib_cfg, churn_workers);
-    let churn_peak = churn_calib.report.sessions_per_sec();
-    println!(
-        "  peak capacity      {churn_peak:.0} sessions/s  ({:.3} Mops/s, {} conns opened)",
-        churn_calib.report.mops(),
-        churn_calib.report.conns
-    );
-    let churn_paced_cfg = ReplayConfig {
-        arrival_rate: churn_peak * util,
-        ..churn_cfg.clone()
-    };
-    let churn_sched_secs = churn_sessions as f64 / churn_paced_cfg.arrival_rate;
-    let mut churn_runs: Vec<ChurnRun> = (0..REPEATS)
-        .map(|_| serving_churn_run(&churn_paced_cfg, churn_workers))
-        .collect();
-    churn_runs.sort_by_key(|r| r.report.percentile_ns(99.9));
-    let churn_run = &churn_runs[REPEATS / 2];
-    println!(
-        "  paced @ {:.0}/s      {:.3} Mops/s  p50 {}µs  p99 {}µs  p999 {}µs  ({} conns, backpressure events {})",
-        churn_paced_cfg.arrival_rate,
-        churn_run.report.mops(),
-        churn_run.report.percentile_ns(50.0) / 1_000,
-        churn_run.report.percentile_ns(99.0) / 1_000,
-        churn_run.report.percentile_ns(99.9) / 1_000,
-        churn_run.report.conns,
-        churn_run.backpressure_events,
-    );
-    cells.push(json::cell(
-        "serving_churn",
-        Json::obj([
-            ("workload", Json::from(churn_paced_cfg.workload.name)),
-            ("sessions", Json::from(churn_sessions)),
-            (
-                "ops_per_session",
-                Json::from(u64::from(churn_paced_cfg.ops_per_session)),
-            ),
-            ("workers", Json::from(churn_workers)),
-            ("clients", Json::from(churn_paced_cfg.clients)),
-            (
-                "sessions_per_conn",
-                Json::from(churn_paced_cfg.sessions_per_conn),
-            ),
-            ("key_range", Json::from(churn_paced_cfg.key_range)),
-            ("zipf_theta", Json::Num(churn_paced_cfg.zipf_theta)),
-            ("util", Json::Num(util)),
-            ("arrival_rate", Json::Num(churn_paced_cfg.arrival_rate)),
-            ("seed", Json::from(seed)),
-            ("repeats", Json::from(REPEATS)),
-        ]),
-        Json::obj([
-            ("max_sessions_per_sec", Json::Num(churn_peak)),
-            ("max_mops", Json::Num(churn_calib.report.mops())),
-            ("mops", Json::Num(churn_run.report.mops())),
-            (
-                "sessions_per_sec",
-                Json::Num(churn_run.report.sessions_per_sec()),
-            ),
-            ("ops", Json::from(churn_run.report.ops)),
-            ("conns", Json::from(churn_run.report.conns)),
-            ("p50_ns", Json::from(churn_run.report.percentile_ns(50.0))),
-            ("p99_ns", Json::from(churn_run.report.percentile_ns(99.0))),
-            ("p999_ns", Json::from(churn_run.report.percentile_ns(99.9))),
-            (
-                "backpressure_events",
-                Json::from(churn_run.backpressure_events),
-            ),
-            ("drained", Json::from(u64::from(churn_run.drained))),
-            (
-                "worker_ops",
-                Json::Arr(
-                    churn_run
-                        .worker_ops
-                        .iter()
-                        .map(|&o| Json::from(o))
-                        .collect(),
-                ),
-            ),
-            ("obs", snapshot_json(&churn_run.snap)),
-        ]),
-    ));
-    let churn_gate_ok = check_churn_gate(churn_run, churn_clients, churn_workers, churn_sched_secs);
-
-    // The PR 9 pipelining A/B: identical seeded uniform GET streams on
-    // one client, blocking one-at-a-time vs pipelined, as interleaved
-    // pairs against one long-lived server so machine drift cancels.
-    let pipe_range = key_range.min(1 << 18);
-    println!(
-        "== pipelining (1 client GETs over {pipe_range} keys, window {}, {secs:.2}s/arm, median of {REPEATS} interleaved pairs) ==",
-        Client::PIPELINE_WINDOW
-    );
-    let pipe_server = Server::start(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback server");
-    {
-        // Preload every other key so GETs split hit/miss.
-        let mut c = Client::connect(pipe_server.addr()).expect("connect to server");
-        let mut ops = Vec::with_capacity(1024);
-        for chunk_start in (0..pipe_range).step_by(2 * 1024) {
-            ops.clear();
-            ops.extend(
-                (chunk_start..)
-                    .step_by(2)
-                    .take(1024)
-                    .take_while(|&k| k < pipe_range)
-                    .map(|k| BatchOp::Insert(k, k)),
-            );
-            c.batch(&ops).expect("preload batch");
-        }
-    }
-    let mut arm_mops: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for rep in 0..REPEATS {
-        for pipelined in [false, true] {
-            let mops = pipeline_arm_mops(
-                pipe_server.addr(),
-                pipelined,
-                pipe_range,
-                secs,
-                seed ^ rep as u64,
-            );
-            arm_mops[pipelined as usize].push(mops);
-        }
-    }
-    pipe_server.shutdown();
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let serial_mops = median(&mut arm_mops[0]);
-    let pipelined_mops = median(&mut arm_mops[1]);
-    println!(
-        "  blocking  {serial_mops:.3} Mops/s\n  pipelined {pipelined_mops:.3} Mops/s  ({:.1}x)",
-        pipelined_mops / serial_mops
-    );
-    cells.push(json::cell(
-        "pipelining",
-        Json::obj([
-            ("workload", Json::from("uniform_get")),
-            ("window", Json::from(Client::PIPELINE_WINDOW)),
-            ("threads", Json::Int(1)),
-            ("workers", Json::Int(2)),
-            ("key_range", Json::from(pipe_range)),
-            ("secs", Json::Num(secs)),
-            ("seed", Json::from(seed)),
-            ("repeats", Json::from(REPEATS)),
-        ]),
-        Json::obj([
-            ("serial_mops", Json::Num(serial_mops)),
-            ("pipelined_mops", Json::Num(pipelined_mops)),
-            ("speedup", Json::Num(pipelined_mops / serial_mops)),
-        ]),
-    ));
-    let pipeline_gate_ok = check_pipeline_gate(serial_mops, pipelined_mops);
-
-    // The PR 10 batch-fusion A/B: identical replay workloads at drain
-    // rate against fresh servers that differ in one flag —
-    // `fuse_batches` on (BATCH frames partitioned by shard, sorted,
-    // and run through `execute_batch`, inheriting the finger-anchored
-    // descent) vs off (the same ops unrolled one at a time through the
-    // per-shard handles). Interleaved pairs so machine drift cancels.
-    // The frame shape is the one fusion targets — high-occupancy BATCH
-    // frames (the `coalesce` / new `coalesce_ops` replay knobs fill
-    // and cap them) over a serving-resident key range dense enough
-    // that sorted per-shard runs land on adjacent leaves; the default
-    // replay shape (96–192-op frames over 2^20 keys) leaves the tree
-    // such a small slice of loopback wall time that the A/B measures
-    // syscall jitter, not execution strategy.
-    let fusion_workers = 2;
-    let fusion_sessions = (sessions / 4).max(1_000);
-    let fusion_ops_cap = std::env::var("NMBST_FUSION_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(768);
-    let fusion_cfg = ReplayConfig {
-        sessions: fusion_sessions,
-        clients: fusion_workers,
-        arrival_rate: f64::INFINITY,
-        key_range: 1 << 14,
-        coalesce: 256,
-        coalesce_ops: fusion_ops_cap,
-        seed,
-        ..ReplayConfig::default()
-    };
-    println!(
-        "== serving batch fusion ({fusion_sessions} sessions, {fusion_workers} workers, ≤{fusion_ops_cap} ops/frame, drain rate, median of {REPEATS} interleaved pairs) =="
-    );
-    let mut fusion_mops: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut fused_finger_hits = 0u64;
-    let mut fused_finger_misses = 0u64;
-    let mut fused_ops_total = 0u64;
-    let mut single_ops_total = 0u64;
-    for _ in 0..REPEATS {
-        for fused in [false, true] {
-            let run = serving_replay_run(&fusion_cfg, fusion_workers, fused);
-            fusion_mops[fused as usize].push(run.report.mops());
-            if fused {
-                fused_finger_hits += run.snap.finger_hits;
-                fused_finger_misses += run.snap.finger_misses;
-                fused_ops_total += run.batch_fused_ops;
-            } else {
-                single_ops_total += run.batch_single_ops;
-            }
-        }
-    }
-    let unfused_mops = median(&mut fusion_mops[0]);
-    let fused_mops = median(&mut fusion_mops[1]);
-    println!(
-        "  unrolled {unfused_mops:.3} Mops/s\n  fused    {fused_mops:.3} Mops/s  ({:.2}x)  finger hits {fused_finger_hits} / misses {fused_finger_misses}",
-        fused_mops / unfused_mops
-    );
-    cells.push(json::cell(
-        "serving_batch_fusion",
-        Json::obj([
-            ("workload", Json::from(fusion_cfg.workload.name)),
-            ("sessions", Json::from(fusion_sessions)),
-            (
-                "ops_per_session",
-                Json::from(u64::from(fusion_cfg.ops_per_session)),
-            ),
-            ("workers", Json::from(fusion_workers)),
-            ("clients", Json::from(fusion_cfg.clients)),
-            ("coalesce_ops", Json::from(fusion_ops_cap as u64)),
-            ("key_range", Json::from(fusion_cfg.key_range)),
-            ("zipf_theta", Json::Num(fusion_cfg.zipf_theta)),
-            ("seed", Json::from(seed)),
-            ("repeats", Json::from(REPEATS)),
-        ]),
-        Json::obj([
-            ("unfused_mops", Json::Num(unfused_mops)),
-            ("fused_mops", Json::Num(fused_mops)),
-            ("speedup", Json::Num(fused_mops / unfused_mops)),
-            ("fused_finger_hits", Json::from(fused_finger_hits)),
-            ("fused_finger_misses", Json::from(fused_finger_misses)),
-            ("batch_fused_ops", Json::from(fused_ops_total)),
-            ("batch_single_ops", Json::from(single_ops_total)),
-        ]),
-    ));
-    let fusion_gate_ok = check_fusion_gate(
-        unfused_mops,
-        fused_mops,
-        fused_finger_hits,
-        fused_ops_total,
-        single_ops_total,
-    );
-
-    let path = std::path::Path::new(&out_path);
-    json::write_bench_file(path, &cells).expect("write bench json");
-    println!("wrote {} cells to {}", cells.len(), path.display());
-
-    let baseline_ok = check_against_baseline(&gate_mops);
-
-    let mut failures: Vec<&str> = Vec::new();
-    if !pool_gate_ok {
-        failures.push("pool ablation gate failed");
-    }
-    if !leaf_gate_ok {
-        failures.push("leaf ablation gate failed");
-    }
-    if !table1_ok {
-        failures.push(
-            "Table-1 exact counts regressed (expected insert 2 allocs/1 CAS, delete 0 allocs/3 atomics)",
-        );
-    }
-    if !bulk_gate_ok {
-        failures.push("bulk-load gate failed");
-    }
-    if !batch_gate_ok {
-        failures.push("sorted-batch gate failed");
-    }
-    if !obs_gate_ok {
-        failures.push("obs overhead gate failed (recording costs more than the budget)");
-    }
-    if !serving_gate_ok {
-        failures.push("serving replay gate failed");
-    }
-    if !agreement_ok {
-        failures.push("client/server latency agreement gate failed");
-    }
-    if !churn_gate_ok {
-        failures.push("serving churn gate failed");
-    }
-    if !pipeline_gate_ok {
-        failures.push("pipelining gate failed");
-    }
-    if !fusion_gate_ok {
-        failures.push("serving batch fusion gate failed");
-    }
-    if !baseline_ok {
-        failures.push("baseline throughput gate failed");
-    }
-    if !failures.is_empty() {
-        for msg in &failures {
-            eprintln!("error: {msg}");
-        }
-        dump_slowlog(&serve_runs[REPEATS / 2].slow);
-        std::process::exit(1);
-    }
-}
-
-/// Writes the median paced run's slow-op records to
-/// `NMBST_SLOWLOG_PATH` (default `SLOWLOG_DUMP.txt`) so a failing CI
-/// job can upload the outliers that were live when the gate tripped.
-fn dump_slowlog(slow: &[SlowOp]) {
-    let path =
-        std::env::var("NMBST_SLOWLOG_PATH").unwrap_or_else(|_| "SLOWLOG_DUMP.txt".to_string());
-    let mut out = String::new();
-    out.push_str("# slow-op records from the median paced serving run, slowest first\n");
-    out.push_str("# origin kind key ns events\n");
-    for op in slow {
-        let (origin, kind) = match op.origin {
-            1 => ("server", nmbst_server::wire::op_name(op.kind)),
-            _ => (
-                "tree",
-                match op.kind {
-                    0 => "get",
-                    1 => "insert",
-                    2 => "remove",
-                    3 => "batch",
-                    4 => "range",
-                    _ => "?",
-                },
-            ),
-        };
-        out.push_str(&format!(
-            "{origin} {kind} key={} ns={} events={:?}\n",
-            op.key,
-            op.ns,
-            op.event_names(),
-        ));
-    }
-    match std::fs::write(&path, &out) {
-        Ok(()) => eprintln!("wrote {} slow-op records to {path}", slow.len()),
-        Err(e) => eprintln!("failed to write slowlog dump to {path}: {e}"),
-    }
-}
-
-/// The client/server latency agreement gate: both sides timed the same
-/// BATCH frames (one histogram sample per session bundle on each side),
-/// so the counts must match exactly, and the server's wire p99 — which
-/// excludes the client's syscall + loopback cost — can never credibly
-/// exceed the client's RTT p99 by more than the two histograms' bucket
-/// error (`NMBST_AGREE_TOLERANCE`, default 0.15 ≈ 2× the 6.7% bucket
-/// width). The reverse direction is a loose unit-mismatch tripwire
-/// (`NMBST_AGREE_FACTOR`, default 100×): loopback syscall overhead
-/// legitimately dominates sub-10µs frames, but a µs/ns mix-up overshoots
-/// 100× instantly.
-fn check_latency_agreement(client_rtt: &Histogram, server_wire: &Histogram) -> bool {
-    let tolerance = std::env::var("NMBST_AGREE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.15);
-    let factor = std::env::var("NMBST_AGREE_FACTOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(100.0);
-    if client_rtt.len() != server_wire.len() {
-        eprintln!(
-            "  agreement: FAIL — client timed {} frames, server timed {}",
-            client_rtt.len(),
-            server_wire.len()
-        );
-        return false;
-    }
-    let client_p99 = client_rtt.percentile(99.0) as f64;
-    let server_p99 = server_wire.percentile(99.0) as f64;
-    let mut ok = true;
-    if server_p99 > client_p99 * (1.0 + tolerance) {
-        eprintln!(
-            "  agreement: FAIL — server wire p99 {server_p99:.0}ns exceeds client rtt p99 \
-             {client_p99:.0}ns by more than {:.0}% (bucket error budget)",
-            tolerance * 100.0
-        );
-        ok = false;
-    }
-    if client_p99 > server_p99 * factor {
-        eprintln!(
-            "  agreement: FAIL — client rtt p99 {client_p99:.0}ns is over {factor:.0}x the \
-             server wire p99 {server_p99:.0}ns (unit mismatch?)"
-        );
-        ok = false;
-    }
-    if ok {
-        println!(
-            "  agreement: ok — {} frames both sides, server p99 {:.1}µs ≤ client p99 {:.1}µs × {:.2}",
-            client_rtt.len(),
-            server_p99 / 1_000.0,
-            client_p99 / 1_000.0,
-            1.0 + tolerance
-        );
-    }
-    ok
-}
-
-/// The obs-overhead gate: default sampled recording vs
-/// `LatencyConfig::disabled()` on the mixed handle cell must stay
-/// within `NMBST_OBS_TOLERANCE` (relative, default 0.03 — the paper
-/// repro's observability budget). `ratio` is the median of the
-/// per-pair on/off ratios from the interleaved runs (see the call
-/// site for why that's the estimator).
-fn check_obs_gate(ratio: f64) -> bool {
-    let tolerance = std::env::var("NMBST_OBS_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.03);
-    if ratio.is_nan() || ratio <= 0.0 {
-        eprintln!("  obs gate: FAIL — degenerate on/off ratio {ratio}");
-        return false;
-    }
-    let ok = ratio >= 1.0 - tolerance;
-    println!(
-        "  obs gate: {} — recording-on runs at {:.1}% of recording-off (tolerance -{:.0}%)",
-        if ok { "ok" } else { "FAIL" },
-        ratio * 100.0,
-        tolerance * 100.0
-    );
-    if !ok {
-        eprintln!(
-            "error: latency recording costs {:.1}% (> {:.0}% budget)",
-            (1.0 - ratio) * 100.0,
-            tolerance * 100.0
-        );
-    }
-    ok
 }
 
 /// A replay target that ships each coalesced session bundle as one
@@ -1515,79 +458,8 @@ struct WireTarget {
 impl SessionTarget for WireTarget {
     fn run(&mut self, ops: &[SessionOp]) -> std::io::Result<()> {
         self.ops.clear();
-        self.ops.extend(ops.iter().map(|op| match *op {
-            SessionOp::Get(k) => BatchOp::Get(k),
-            SessionOp::Insert(k, v) => BatchOp::Insert(k, v),
-            SessionOp::Remove(k) => BatchOp::Remove(k),
-        }));
+        self.ops.extend(ops.iter().copied().map(to_batch_op));
         self.client.batch(&self.ops).map(drop)
-    }
-}
-
-/// Everything one replay run produces: the client-side report, the
-/// store's metrics, per-worker op counts, the server's BATCH wire-time
-/// histogram (the server-side view of the same frames the client's
-/// `rtt` histogram timed — the agreement gate compares the two), and
-/// the merged slow-op records (server frames + tree ops).
-struct ServeRun {
-    report: ReplayReport,
-    snap: MetricsSnapshot,
-    worker_ops: Vec<u64>,
-    batch_wire: Histogram,
-    slow: Vec<SlowOp>,
-    /// BATCH ops executed shard-fused through `execute_batch` vs
-    /// unrolled one at a time — the fusion cell's attribution pair.
-    batch_fused_ops: u64,
-    batch_single_ops: u64,
-}
-
-/// One fresh-server replay run: bind on loopback, connect one client
-/// per replay thread, replay, then shut the server down (joining the
-/// workers flushes every pinned handle) before snapshotting metrics.
-/// Request timing is read through [`Server::stats_arc`] *after*
-/// `shutdown` so every frame's record is certainly published.
-/// `fuse_batches: false` is the fusion cell's control arm: the same
-/// server unrolls each BATCH op through the per-shard handles instead
-/// of routing it through `execute_batch`.
-fn serving_replay_run(cfg: &ReplayConfig, workers: usize, fuse_batches: bool) -> ServeRun {
-    let server = Server::start(ServerConfig {
-        workers,
-        fuse_batches,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback server");
-    let store = Arc::clone(server.store());
-    let stats = server.stats_arc();
-    let targets: Vec<WireTarget> = (0..cfg.clients)
-        .map(|_| WireTarget {
-            client: Client::connect(server.addr()).expect("connect to server"),
-            ops: Vec::new(),
-        })
-        .collect();
-    let report = run_replay(cfg, targets);
-    let worker_ops = stats.worker_ops();
-    server.shutdown();
-    let snap = store.metrics();
-    let batch_wire = stats.wire_hist(nmbst_server::wire::OP_BATCH);
-    let mut slow = stats.slow_frames();
-    slow.extend_from_slice(&snap.slow_ops);
-    slow.sort_by_key(|r| std::cmp::Reverse(r.ns));
-    ServeRun {
-        report,
-        snap,
-        worker_ops,
-        batch_wire,
-        slow,
-        batch_fused_ops: stats.batch_fused_ops(),
-        batch_single_ops: stats.batch_single_ops(),
-    }
-}
-
-fn to_batch_op(op: SessionOp) -> BatchOp {
-    match op {
-        SessionOp::Get(k) => BatchOp::Get(k),
-        SessionOp::Insert(k, v) => BatchOp::Insert(k, v),
-        SessionOp::Remove(k) => BatchOp::Remove(k),
     }
 }
 
@@ -1617,35 +489,58 @@ impl SessionTarget for ChurnTarget {
     }
 }
 
-/// Everything one churn replay run produces. No wire histogram here —
-/// pipelined frames share socket flushes, so there is no per-frame
-/// client RTT population to cross-check against (the agreement gate
-/// stays on the `serving_replay` cell, whose target is strictly one
-/// frame in flight).
-struct ChurnRun {
+/// Everything one replay run produces: the client-side report, the
+/// store's metrics, per-worker op counts, the server's BATCH wire-time
+/// histogram (the server-side view of the same frames the client's
+/// `rtt` histogram timed, when one frame is in flight per client), the
+/// merged slow-op records (server frames + tree ops), and the reactor
+/// gauges.
+struct ServeRun {
     report: ReplayReport,
     snap: MetricsSnapshot,
     worker_ops: Vec<u64>,
+    batch_wire: Histogram,
+    slow: Vec<SlowOp>,
+    /// BATCH ops executed shard-fused through `execute_batch` vs
+    /// unrolled one at a time — the fusion cell's attribution pair.
+    batch_fused_ops: u64,
+    batch_single_ops: u64,
     backpressure_events: u64,
     /// Every reactor noticed every close: `open_connections` reached 0
-    /// after the last client hung up (2 s grace).
+    /// within 2 s of the last client hanging up.
     drained: bool,
 }
 
-/// One fresh-server churn run: clients open and close their own
-/// connections via a redialing factory, bundles go out pipelined.
-fn serving_churn_run(cfg: &ReplayConfig, workers: usize) -> ChurnRun {
+/// One fresh-server replay run: bind on loopback, replay, wait for the
+/// reactors to see every close, then shut the server down (joining the
+/// workers flushes every pinned handle) before snapshotting metrics, so
+/// every frame's timing record is certainly published. With
+/// `sessions_per_conn > 0` clients redial through [`ChurnTarget`]s;
+/// otherwise each client holds one [`WireTarget`] connection.
+/// `fuse_batches: false` is the fusion cell's control arm: the server
+/// unrolls each BATCH op through the per-shard handles instead of
+/// routing it through `execute_batch`.
+fn serve_run(cfg: &ReplayConfig, workers: usize, fuse_batches: bool) -> ServeRun {
     let server = Server::start(ServerConfig {
         workers,
+        fuse_batches,
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
-    let store = Arc::clone(server.store());
-    let stats = server.stats_arc();
-    let addr = server.addr();
-    let per_session = cfg.ops_per_session as usize;
-    let factories: Vec<_> = (0..cfg.clients)
-        .map(|_| {
+    let (store, stats, addr) = (
+        Arc::clone(server.store()),
+        server.stats_arc(),
+        server.addr(),
+    );
+    let report = if cfg.sessions_per_conn == 0 {
+        let targets = (0..cfg.clients).map(|_| WireTarget {
+            client: Client::connect(addr).expect("connect to server"),
+            ops: Vec::new(),
+        });
+        run_replay(cfg, targets.collect())
+    } else {
+        let per_session = cfg.ops_per_session as usize;
+        let factories = (0..cfg.clients).map(|_| {
             move || {
                 Ok(ChurnTarget {
                     client: Client::connect(addr)?,
@@ -1653,83 +548,32 @@ fn serving_churn_run(cfg: &ReplayConfig, workers: usize) -> ChurnRun {
                     reqs: Vec::new(),
                 })
             }
-        })
-        .collect();
-    let report = run_replay_churn(cfg, factories);
-    // All clients have hung up; stuck connections are reactor bugs.
+        });
+        run_replay_churn(cfg, factories.collect())
+    };
+    // Every client has hung up; a connection still open is a reactor bug.
     let t0 = Instant::now();
-    let mut drained = false;
-    while t0.elapsed() < Duration::from_secs(2) {
-        if stats.serve_gauges().open_connections == 0 {
-            drained = true;
-            break;
-        }
+    while stats.serve_gauges().open_connections > 0 && t0.elapsed() < Duration::from_secs(2) {
         std::thread::sleep(Duration::from_millis(5));
     }
+    let gauges = stats.serve_gauges();
     let worker_ops = stats.worker_ops();
-    let backpressure_events = stats.serve_gauges().backpressure_events;
     server.shutdown();
     let snap = store.metrics();
-    ChurnRun {
+    let mut slow = stats.slow_frames();
+    slow.extend_from_slice(&snap.slow_ops);
+    slow.sort_by_key(|r| std::cmp::Reverse(r.ns));
+    ServeRun {
         report,
+        batch_wire: stats.wire_hist(nmbst_server::wire::OP_BATCH),
         snap,
         worker_ops,
-        backpressure_events,
-        drained,
+        slow,
+        batch_fused_ops: stats.batch_fused_ops(),
+        batch_single_ops: stats.batch_single_ops(),
+        backpressure_events: gauges.backpressure_events,
+        drained: gauges.open_connections == 0,
     }
-}
-
-/// The churn gate: per-worker ops all nonzero (hard fail — churned
-/// connections still must reach every reactor's pinned handles), the
-/// run actually churned (connections opened exceed the concurrent
-/// fleet, which itself is ≥ 8× workers), every connection closed when
-/// the clients left, and the paced run finished within
-/// `NMBST_CHURN_SLACK` (relative, default 1.0) of its own schedule — a
-/// server that can't sustain the offered load drains at capacity
-/// instead and overshoots immediately.
-fn check_churn_gate(run: &ChurnRun, clients: usize, workers: usize, sched_secs: f64) -> bool {
-    let slack = std::env::var("NMBST_CHURN_SLACK")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    let mut pass = true;
-    for (w, &ops) in run.worker_ops.iter().enumerate() {
-        if ops == 0 {
-            eprintln!("error: churn worker {w} routed zero ops through its pinned handles");
-            pass = false;
-        }
-    }
-    if clients < 8 * workers {
-        eprintln!("error: churn fleet of {clients} conns is under 8x the {workers} workers");
-        pass = false;
-    }
-    if run.report.conns <= clients as u64 {
-        eprintln!(
-            "error: churn run opened only {} connections for {clients} clients — nothing redialed",
-            run.report.conns
-        );
-        pass = false;
-    }
-    if !run.drained {
-        eprintln!("error: connections stuck open after every churn client hung up");
-        pass = false;
-    }
-    let elapsed = run.report.elapsed.as_secs_f64();
-    let ceiling = sched_secs * (1.0 + slack);
-    if elapsed > ceiling {
-        eprintln!(
-            "error: paced churn run took {elapsed:.2}s against a {sched_secs:.2}s schedule \
-             (ceiling {ceiling:.2}s) — the offered load was not sustained"
-        );
-        pass = false;
-    }
-    println!(
-        "  churn gate: {} — {} conns over {clients} clients, drained={}, {elapsed:.2}s vs {sched_secs:.2}s schedule",
-        if pass { "ok" } else { "FAIL" },
-        run.report.conns,
-        run.drained,
-    );
-    pass
 }
 
 /// One pipelining arm: `secs` of the seeded uniform GET stream, either
@@ -1765,342 +609,1170 @@ fn pipeline_arm_mops(
     ops as f64 / t0.elapsed().as_secs_f64() / 1e6
 }
 
-/// The pipelining gate: the pipelined arm must clear
-/// `NMBST_PIPELINE_MIN_SPEEDUP`× the blocking arm (default 2.0). The
-/// blocking client pays a full RTT per request; the pipelined client
-/// pays one per window — anything under 2× means the window is not
-/// actually keeping frames in flight.
-fn check_pipeline_gate(serial_mops: f64, pipelined_mops: f64) -> bool {
-    let min_speedup = std::env::var("NMBST_PIPELINE_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(2.0);
-    let speedup = pipelined_mops / serial_mops;
-    let pass = speedup >= min_speedup;
-    println!(
-        "  pipeline gate: {speedup:.1}x over blocking (floor {min_speedup:.1}x)  [{}]",
-        if pass { "ok" } else { "FAIL" }
-    );
-    if !pass {
-        eprintln!(
-            "error: pipelined client only {speedup:.2}x the blocking client (need {min_speedup:.1}x)"
-        );
+/// Writes the median paced serving run's slow-op records to
+/// `NMBST_SLOWLOG_PATH` (default `SLOWLOG_DUMP.txt`) so a failing CI
+/// job can upload the outliers that were live when the gate tripped.
+fn dump_slowlog(slow: &[SlowOp]) {
+    let path = env_var::<String>("NMBST_SLOWLOG_PATH").unwrap_or("SLOWLOG_DUMP.txt".into());
+    let mut out = String::new();
+    out.push_str("# slow-op records from the median paced serving run, slowest first\n");
+    out.push_str("# origin kind key ns events\n");
+    for op in slow {
+        let (origin, kind) = match op.origin {
+            1 => ("server", nmbst_server::wire::op_name(op.kind)),
+            _ => (
+                "tree",
+                OpClass::from_u8(op.kind).map_or("?", OpClass::label),
+            ),
+        };
+        let events = op.event_names();
+        out.push_str(&format!(
+            "{origin} {kind} key={} ns={} events={events:?}\n",
+            op.key, op.ns
+        ));
     }
-    pass
+    match std::fs::write(&path, &out) {
+        Ok(()) => eprintln!("wrote {} slow-op records to {path}", slow.len()),
+        Err(e) => eprintln!("failed to write slowlog dump to {path}: {e}"),
+    }
 }
 
-/// The batch-fusion gate. The fused arm must not trail the unrolled
-/// arm by more than `NMBST_FUSION_TOLERANCE` (relative, default 0.05 —
-/// fusion exists to *win* on sorted same-shard runs, but on one core
-/// the A/B mostly measures the shared decode/encode path, so the gate
-/// is a no-regression floor, not a speedup demand). Hard-fails if the
-/// fused servers recorded **zero finger hits** (the sorted per-shard
-/// runs never anchored — fusion silently degraded to root descents),
-/// if the fused arm executed zero ops through `execute_batch` (the
-/// flag is not reaching the engine), or if the control arm leaked ops
-/// into the fused counter's path (the A/B is not actually an A/B).
-fn check_fusion_gate(
-    unfused_mops: f64,
-    fused_mops: f64,
-    fused_finger_hits: u64,
-    fused_ops: u64,
-    single_ops: u64,
-) -> bool {
-    let tolerance = std::env::var("NMBST_FUSION_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05);
-    let mut ok = true;
-    if fused_ops == 0 {
-        eprintln!(
-            "error: fused arm executed zero ops through execute_batch — \
-             fuse_batches is not reaching the serve engine"
-        );
-        ok = false;
-    }
-    if single_ops == 0 {
-        eprintln!(
-            "error: control arm executed zero unrolled ops — \
-             the fusion A/B has no working control"
-        );
-        ok = false;
-    }
-    if fused_finger_hits == 0 {
-        eprintln!(
-            "error: fused serving runs recorded zero finger hits — \
-             sorted per-shard runs never anchored, wire batches have \
-             silently degraded to root descents"
-        );
-        ok = false;
-    }
-    let floor = unfused_mops * (1.0 - tolerance);
-    let pass = fused_mops >= floor;
-    println!(
-        "  fusion gate: fused {fused_mops:.3} vs unrolled {unfused_mops:.3} Mops/s (floor {floor:.3}), finger hits {fused_finger_hits}  [{}]",
-        if pass && ok { "ok" } else { "FAIL" }
-    );
-    if !pass {
-        eprintln!(
-            "error: fused batch execution trails unrolled by more than {:.1}% \
-             ({fused_mops:.3} vs {unfused_mops:.3} Mops/s; NMBST_FUSION_TOLERANCE={tolerance})",
-            tolerance * 100.0
-        );
-        ok = false;
-    }
-    ok
+/// What every row reads from the environment, resolved once.
+#[derive(Clone, Copy)]
+struct Ctx {
+    secs: f64,
+    seed: u64,
+    /// Single-thread key range: the first `NMBST_KEYS` entry.
+    key_range: u64,
+    /// Sessions per serving replay (`NMBST_SESSIONS`).
+    sessions: u64,
 }
 
-/// The serving gate. Hard-fails if any worker routed zero ops through
-/// its pinned handles (traffic got served, but not through the
-/// per-shard handle path — the pinning is silently broken), and
-/// compares peak capacity against the committed `serving_replay`
-/// baseline cell under `NMBST_SERVE_TOLERANCE` (relative, default
-/// 0.25 — loopback serving jitters far more than in-process cells).
-/// A baseline file without the cell (pre-PR 6) skips the comparison.
-fn check_serving_gate(max_mops: f64, worker_ops: &[u64]) -> bool {
-    let mut pass = true;
-    for (w, &ops) in worker_ops.iter().enumerate() {
-        if ops == 0 {
-            eprintln!("error: serving worker {w} routed zero ops through its pinned handles");
-            pass = false;
+impl Ctx {
+    fn from_env() -> Ctx {
+        let cfg = SweepConfig::from_env();
+        Ctx {
+            secs: cfg.duration.as_secs_f64(),
+            seed: cfg.seed,
+            key_range: cfg.key_ranges.first().copied().unwrap_or(1_000).max(64),
+            sessions: env_var("NMBST_SESSIONS").unwrap_or(1_000_000u64).max(1_000),
         }
     }
-    let Some(baseline_path) = std::env::var("NMBST_BASELINE_JSON")
-        .ok()
-        .filter(|p| !p.is_empty())
-    else {
-        return pass;
+}
+
+/// A config field every cell of a row carries after its arm's own.
+#[derive(Clone, Copy)]
+enum Shared {
+    /// Always 1: the rows that share it are single-threaded.
+    Threads,
+    KeyRange,
+    Secs,
+    Seed,
+    /// The row's repeat count.
+    Repeats,
+}
+
+impl Shared {
+    fn field(self, c: Ctx, repeats: usize) -> (&'static str, Json) {
+        match self {
+            Shared::Threads => ("threads", Json::Int(1)),
+            Shared::KeyRange => ("key_range", c.key_range.into()),
+            Shared::Secs => ("secs", c.secs.into()),
+            Shared::Seed => ("seed", c.seed.into()),
+            Shared::Repeats => ("repeats", repeats.into()),
+        }
+    }
+}
+
+use Repeat::{Median, Pairs};
+use Shared::{KeyRange, Repeats, Secs, Seed, Threads};
+
+/// The shared fields of the single-thread tree rows.
+const TREE: &[Shared] = &[Threads, KeyRange, Secs, Seed, Repeats];
+
+/// A cell's config or metrics, in order.
+type Fields = Vec<(&'static str, Json)>;
+
+/// One run of one arm: the arm's own config fields and metrics (a cell,
+/// once the repeat policy picks it) and the named facts gates read.
+struct Sample {
+    /// Orders an arm's repeats; the median one becomes the cell.
+    key: f64,
+    config: Fields,
+    metrics: Fields,
+    facts: Vec<(String, f64)>,
+    /// Slow-op records for the dump written when a gate fails.
+    slow: Vec<SlowOp>,
+}
+
+impl Sample {
+    fn new(key: f64, config: Fields, metrics: Fields) -> Self {
+        let (facts, slow) = (Vec::new(), Vec::new());
+        Sample {
+            key,
+            config,
+            metrics,
+            facts,
+            slow,
+        }
+    }
+
+    /// Adds `facts` under `{prefix}.{name}`.
+    fn with_facts<'a>(
+        mut self,
+        prefix: &str,
+        facts: impl IntoIterator<Item = (&'a str, f64)>,
+    ) -> Sample {
+        self.facts
+            .extend(facts.into_iter().map(|(k, v)| (format!("{prefix}.{k}"), v)));
+        self
+    }
+}
+
+/// One arm: called once per repeat with the repeat index.
+type Arm = Box<dyn FnMut(usize) -> Sample>;
+
+/// Reduces an interleaved pair's runs (`[arm 2i, arm 2i + 1]`) to cells.
+type Fold = fn([Vec<Sample>; 2]) -> Vec<Sample>;
+
+/// How a row repeats its arms.
+#[derive(Clone, Copy)]
+enum Repeat {
+    /// Each arm `n` times back to back; the median run is its cell.
+    Median(usize),
+    /// Arms `2i` and `2i + 1` alternate `n` times, so machine drift
+    /// hits both sides of a pair alike.
+    Pairs(usize, Fold),
+}
+
+fn median(mut runs: Vec<Sample>) -> Sample {
+    runs.sort_by(|a, b| a.key.total_cmp(&b.key));
+    let mid = runs.len() / 2;
+    runs.swap_remove(mid)
+}
+
+/// One bench: its arms, how they repeat, and what must hold of them.
+struct Row {
+    bench: &'static str,
+    repeat: Repeat,
+    shared: &'static [Shared],
+    /// Builds the arms; calibration and shared setup happen here.
+    arms: fn(Ctx) -> Vec<Arm>,
+    gates: &'static [Gate],
+}
+
+impl Row {
+    fn repeats(&self) -> usize {
+        match self.repeat {
+            Median(n) | Pairs(n, _) => n,
+        }
+    }
+
+    fn run(&self, c: Ctx) -> Vec<Sample> {
+        let mut arms = (self.arms)(c);
+        match self.repeat {
+            Median(n) => arms
+                .iter_mut()
+                .map(|arm| median((0..n).map(&mut *arm).collect()))
+                .collect(),
+            Pairs(n, fold) => arms
+                .chunks_exact_mut(2)
+                .flat_map(|pair| {
+                    let mut runs = [Vec::new(), Vec::new()];
+                    for i in 0..n {
+                        for (arm, out) in pair.iter_mut().zip(&mut runs) {
+                            out.push(arm(i));
+                        }
+                    }
+                    fold(runs)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Named numbers the rows measured (and the baseline file holds).
+#[derive(Default)]
+struct Facts(BTreeMap<String, f64>);
+
+impl Facts {
+    fn get(&self, key: &str) -> Option<f64> {
+        self.0.get(key).copied()
+    }
+
+    /// NaN when missing, so every comparison against it fails.
+    fn of(&self, key: &str) -> f64 {
+        self.get(key).unwrap_or(f64::NAN)
+    }
+}
+
+/// The environment knob of a bound gate.
+#[derive(Clone, Copy)]
+struct Knob {
+    env: &'static str,
+    default: f64,
+}
+
+impl Knob {
+    fn value(self) -> f64 {
+        env_var(self.env).unwrap_or(self.default)
+    }
+}
+
+const fn knob(env: &'static str, default: f64) -> Knob {
+    Knob { env, default }
+}
+
+const PERF_TOL: Knob = knob("NMBST_PERF_TOLERANCE", 0.03);
+const POOL_TOL: Knob = knob("NMBST_POOL_TOLERANCE", 0.10);
+const LEAF_TOL: Knob = knob("NMBST_LEAF_TOLERANCE", 0.05);
+const BULK_MIN: Knob = knob("NMBST_BULK_MIN_SPEEDUP", 2.0);
+const BATCH_TOL: Knob = knob("NMBST_BATCH_TOLERANCE", 0.05);
+const OBS_TOL: Knob = knob("NMBST_OBS_TOLERANCE", 0.03);
+const SERVE_TOL: Knob = knob("NMBST_SERVE_TOLERANCE", 0.25);
+const AGREE_TOL: Knob = knob("NMBST_AGREE_TOLERANCE", 0.15);
+const CHURN_SLACK: Knob = knob("NMBST_CHURN_SLACK", 1.0);
+const PIPE_MIN: Knob = knob("NMBST_PIPELINE_MIN_SPEEDUP", 2.0);
+const FUSION_TOL: Knob = knob("NMBST_FUSION_TOLERANCE", 0.05);
+
+/// How a bound compares its subject with `reference × factor(knob)`.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    /// `subject ≥ reference × (1 − knob)`: a tolerance below a control.
+    Floor,
+    /// `subject ≤ reference × (1 + knob)`: a slack above a reference.
+    Ceiling,
+    /// `subject ≥ reference × knob`: a minimum speedup.
+    Speedup,
+}
+
+impl Rule {
+    fn threshold(self, reference: f64, knob: f64) -> f64 {
+        match self {
+            Rule::Floor => reference * (1.0 - knob),
+            Rule::Ceiling => reference * (1.0 + knob),
+            Rule::Speedup => reference * knob,
+        }
+    }
+
+    fn holds(self, subject: f64, threshold: f64) -> bool {
+        match self {
+            Rule::Ceiling => subject <= threshold,
+            Rule::Floor | Rule::Speedup => subject >= threshold,
+        }
+    }
+}
+
+enum Gate {
+    /// `Bound(rule, knob, subject, reference)`: the `subject` fact
+    /// against the `reference` fact (1.0 when `None`) under `rule`. A
+    /// missing `baseline.*` reference skips the gate (no baseline file,
+    /// or one from before the cell existed); any other missing fact
+    /// fails it.
+    Bound(Rule, Knob, &'static str, Option<&'static str>),
+    /// `Hard(error, pass)`: a structural predicate over the facts;
+    /// `error` says what broke when it fails.
+    Hard(&'static str, fn(&Facts) -> bool),
+}
+
+impl Gate {
+    /// `Some(pass)`, or `None` when skipped, with the verdict's detail.
+    fn verdict(&self, f: &Facts) -> (Option<bool>, String) {
+        match *self {
+            Gate::Hard(error, pass) if pass(f) => (Some(true), format!("ruled out: {error}")),
+            Gate::Hard(error, _) => (Some(false), error.to_string()),
+            Gate::Bound(rule, knob, subject, reference) => {
+                let name = reference.unwrap_or("1");
+                let Some(r) = reference.map_or(Some(1.0), |k| f.get(k)) else {
+                    let verdict = (!name.starts_with("baseline.")).then_some(false);
+                    return (verdict, format!("{subject}: no {name}"));
+                };
+                let (k, x) = (knob.value(), f.of(subject));
+                let t = rule.threshold(r, k);
+                let detail = format!(
+                    "{subject} {x:.4} vs {t:.4} = {rule:?}({name} {r:.4}, {}={k})",
+                    knob.env
+                );
+                (Some(rule.holds(x, t)), detail)
+            }
+        }
+    }
+}
+
+const fn floor(knob: Knob, subject: &'static str, reference: &'static str) -> Gate {
+    Gate::Bound(Rule::Floor, knob, subject, Some(reference))
+}
+
+const fn ceiling(knob: Knob, subject: &'static str, reference: &'static str) -> Gate {
+    Gate::Bound(Rule::Ceiling, knob, subject, Some(reference))
+}
+
+const fn speedup(knob: Knob, subject: &'static str) -> Gate {
+    Gate::Bound(Rule::Speedup, knob, subject, None)
+}
+
+const fn hard(error: &'static str, pass: fn(&Facts) -> bool) -> Gate {
+    Gate::Hard(error, pass)
+}
+
+fn table1_holds(f: &Facts, api: &str) -> bool {
+    TABLE1
+        .iter()
+        .all(|&(m, paper)| f.of(&format!("table1.{api}.{m}")) == paper)
+}
+
+/// Every bench, in run (and file) order, with its gates.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    Row { bench: "single_thread_throughput", repeat: Median(3), shared: TREE, arms: single_arms,
+        gates: &[
+            floor(PERF_TOL, "single.mixed/per_op_pin.mops", "baseline.mixed/per_op_pin"),
+            floor(PERF_TOL, "single.mixed/handle.mops", "baseline.mixed/handle"),
+            floor(PERF_TOL, "single.read/per_op_pin.mops", "baseline.read/per_op_pin"),
+            floor(PERF_TOL, "single.read/handle.mops", "baseline.read/handle"),
+            hard("the baseline file is unreadable or does not parse",
+                |f| f.get("baseline.unreadable").is_none()),
+        ] },
+    Row { bench: "contended_throughput", repeat: Median(1), shared: &[Secs, Seed],
+        arms: contended_arms, gates: &[] },
+    Row { bench: "latency", repeat: Median(1), shared: &[Seed], arms: latency_arms, gates: &[] },
+    Row { bench: "table1_exact", repeat: Median(1), shared: &[], arms: table1_arms,
+        gates: &[
+            hard("plain-API Table-1 counts differ from the paper's",
+                |f| table1_holds(f, "per_op_pin")),
+            hard("handle Table-1 counts differ from the paper's", |f| table1_holds(f, "handle")),
+        ] },
+    Row { bench: "pool_ablation", repeat: Median(3), shared: TREE, arms: pool_arms,
+        gates: &[
+            floor(POOL_TOL, "pool.write/on.mops", "pool.write/off.mops"),
+            hard("the mixed pool-on cell recorded zero pool hits",
+                |f| f.of("pool.mixed/on.pool_hits") > 0.0),
+        ] },
+    Row { bench: "leaf_ablation", repeat: Median(3), shared: TREE, arms: leaf_arms,
+        gates: &[
+            floor(LEAF_TOL, "leaf.read/fat.mops", "leaf.read/thin.mops"),
+            hard("the leaf_cap=1 tree is not deeper than the fat one",
+                |f| f.of("leaf.read/thin.max_depth") > f.of("leaf.read/fat.max_depth")),
+        ] },
+    Row { bench: "bulk_load", repeat: Pairs(3, fold_bulk), shared: &[Seed, Repeats],
+        arms: bulk_arms, gates: &[speedup(BULK_MIN, "bulk.speedup")] },
+    Row { bench: "sorted_batch", repeat: Median(3), shared: TREE, arms: sorted_batch_arms,
+        gates: &[
+            floor(BATCH_TOL, "batch.batched.mops", "batch.singles.mops"),
+            hard("the batched cell recorded zero finger hits",
+                |f| f.of("batch.batched.finger_hits") > 0.0),
+        ] },
+    Row { bench: "obs_overhead", repeat: Pairs(5, fold_obs), shared: TREE, arms: obs_arms,
+        gates: &[
+            hard("the mixed on/off ratio is not finite and positive",
+                |f| f.of("obs.mixed.ratio").is_finite() && f.of("obs.mixed.ratio") > 0.0),
+            Gate::Bound(Rule::Floor, OBS_TOL, "obs.mixed.ratio", None),
+            hard("a recording-on cell captured zero latency samples", |f| {
+                f.of("obs.mixed/on.lat_samples") > 0.0 && f.of("obs.read/on.lat_samples") > 0.0
+            }),
+        ] },
+    Row { bench: "serving_replay", repeat: Median(3), shared: &[Seed, Repeats], arms: serving_arms,
+        gates: &[
+            hard("a serving worker routed zero ops", |f| f.of("serve.min_worker_ops") > 0.0),
+            floor(SERVE_TOL, "serve.max_mops", "baseline.serve.max_mops"),
+            hard("client and server timed different frame counts",
+                |f| f.of("serve.client_frames") == f.of("serve.server_frames")),
+            ceiling(AGREE_TOL, "serve.server_p99", "serve.client_p99"),
+            hard("client p99 is over 100x server p99 (unit mismatch?)",
+                |f| f.of("serve.client_p99") <= f.of("serve.server_p99") * AGREE_FACTOR),
+        ] },
+    Row { bench: "serving_churn", repeat: Median(3), shared: &[Seed, Repeats], arms: churn_arms,
+        gates: &[
+            hard("a churn worker routed zero ops", |f| f.of("churn.min_worker_ops") > 0.0),
+            hard("the churn fleet is under 8x the workers",
+                |f| f.of("churn.clients") >= 8.0 * f.of("churn.workers")),
+            hard("no more connections opened than clients: no churn",
+                |f| f.of("churn.conns") > f.of("churn.clients")),
+            hard("connections stuck open after the clients hung up",
+                |f| f.of("churn.drained") == 1.0),
+            ceiling(CHURN_SLACK, "churn.elapsed_secs", "churn.schedule_secs"),
+        ] },
+    Row { bench: "pipelining", repeat: Pairs(3, fold_pipelining), shared: &[Secs, Seed, Repeats],
+        arms: pipelining_arms, gates: &[speedup(PIPE_MIN, "pipe.speedup")] },
+    Row { bench: "serving_batch_fusion", repeat: Pairs(3, fold_fusion), shared: &[Seed, Repeats],
+        arms: fusion_arms,
+        gates: &[
+            floor(FUSION_TOL, "fusion.fused_mops", "fusion.unfused_mops"),
+            hard("the fused servers recorded zero finger hits",
+                |f| f.of("fusion.finger_hits") > 0.0),
+            hard("the fused arm ran zero ops through execute_batch",
+                |f| f.of("fusion.fused_ops") > 0.0),
+            hard("the unrolled control arm ran zero unrolled ops",
+                |f| f.of("fusion.single_ops") > 0.0),
+        ] },
+];
+
+/// A workload's fact name: the first word of its label (`mixed`, …).
+fn short(name: &str) -> &str {
+    name.split([' ', '-']).next().unwrap_or(name)
+}
+
+/// A tree throughput run as a sample keyed on Mops/s, with the tree's
+/// metrics in the cell and its gated counters as `{name}.*` facts.
+fn tree_sample(
+    name: &str,
+    config: Fields,
+    (mops, ops, snap): (f64, u64, MetricsSnapshot),
+) -> Sample {
+    let metrics = fields! { mops: mops, ops: ops, obs: snapshot_json(&snap) };
+    Sample::new(mops, config, metrics).with_facts(
+        name,
+        facts! {
+            mops: mops, pool_hits: snap.pool.hits, max_depth: snap.max_depth,
+            finger_hits: snap.finger_hits, lat_samples: snap.latency.len(),
+        },
+    )
+}
+
+fn single_arms(c: Ctx) -> Vec<Arm> {
+    let side = |api: Api| (api.label(), api, vec![], TreeConfig::default());
+    let sides = [side(Api::PerOpPin), side(Api::Handle)];
+    tree_arms(c, "single", &Workload::FIGURE4, sides)
+}
+
+/// Conflict-dense on purpose: local restarts only pay off when CAS
+/// failures happen, so many writers share a small key range.
+fn contended_arms(c: Ctx) -> Vec<Arm> {
+    let threads = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .clamp(4, 8);
+    let range = 128u64;
+    let arm = move |restart, label: &'static str| -> Arm {
+        Box::new(move |_| {
+            let (mops, ops, seeks, restarts) =
+                contended_mops(restart, threads, range, c.secs, c.seed);
+            let config = fields! {
+                workload: Workload::WRITE_DOMINATED.name, restart: label,
+                threads: threads, key_range: range,
+            };
+            let metrics = fields! { mops: mops, ops: ops, seeks: seeks, local_restarts: restarts };
+            Sample::new(mops, config, metrics)
+        })
     };
-    let tolerance = std::env::var("NMBST_SERVE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    // Unreadable/unparseable baselines are already fatal in
-    // `check_against_baseline`; don't double-report here.
-    let Ok(text) = std::fs::read_to_string(&baseline_path) else {
-        return pass;
+    vec![
+        arm(RestartPolicy::Root, "root"),
+        arm(RestartPolicy::Local, "local"),
+    ]
+}
+
+fn latency_arms(c: Ctx) -> Vec<Arm> {
+    let ops = ((c.secs * 200_000.0) as u64).clamp(10_000, 2_000_000);
+    let arm = move |api: Api| -> Arm {
+        Box::new(move |_| {
+            let h = latency_hist(api, c.key_range, ops, c.seed);
+            let config = fields! {
+                workload: Workload::MIXED.name, api: api.label(),
+                threads: Json::Int(1), key_range: c.key_range, ops: ops,
+            };
+            let metrics = fields! {
+                p50_ns: h.percentile(50.0), p99_ns: h.percentile(99.0),
+                p999_ns: h.percentile(99.9), mean_ns: h.mean(), max_ns: h.max(),
+            };
+            Sample::new(0.0, config, metrics)
+        })
     };
-    let Ok(baseline) = Json::parse(&text) else {
-        return pass;
+    vec![arm(Api::PerOpPin), arm(Api::Handle)]
+}
+
+fn table1_arms(_: Ctx) -> Vec<Arm> {
+    let arm = |api: Api| -> Arm {
+        Box::new(move |_| {
+            let counts: Vec<(&str, f64)> =
+                TABLE1.iter().map(|m| m.0).zip(table1_counts(api)).collect();
+            let ok = counts.iter().zip(TABLE1).all(|(got, want)| got.1 == want.1);
+            let mut metrics: Vec<_> = counts.iter().map(|&(m, v)| (m, v.into())).collect();
+            metrics.push(("ok", ok.into()));
+            let config = fields! { api: api.label(), tag_mode: format!("{:?}", TagMode::FetchOr) };
+            Sample::new(0.0, config, metrics).with_facts(&format!("table1.{}", api.label()), counts)
+        })
     };
-    let base = baseline
+    vec![arm(Api::PerOpPin), arm(Api::Handle)]
+}
+
+/// One side of a tree A/B: its fact label, its front end, its config
+/// fields after `workload` and `api`, and the tree config under test.
+type Side = (&'static str, Api, Fields, TreeConfig);
+
+/// Single-thread arms over `workloads` × `sides`, side by side per
+/// workload; `name` prefixes the facts.
+fn tree_arms(c: Ctx, name: &'static str, workloads: &[Workload], sides: [Side; 2]) -> Vec<Arm> {
+    let mut arms: Vec<Arm> = Vec::new();
+    for &w in workloads {
+        for (label, api, fields, config) in sides.clone() {
+            arms.push(Box::new(move |_| {
+                let mut cfg = fields! { workload: w.name, api: api.label() };
+                cfg.extend(fields.iter().cloned());
+                let run = single_thread_mops(api, config, w, c.key_range, c.secs, c.seed);
+                tree_sample(&format!("{name}.{}/{label}", short(w.name)), cfg, run)
+            }));
+        }
+    }
+    arms
+}
+
+/// The pool A/B: pool-on reuses grace-period-expired nodes instead of
+/// round-tripping the allocator.
+fn pool_arms(c: Ctx) -> Vec<Arm> {
+    let side = |label: &'static str, pool: PoolConfig| -> Side {
+        let fields = fields! { pool: label, pool_capacity: pool.capacity };
+        (
+            label,
+            Api::Handle,
+            fields,
+            TreeConfig::default().with_pool(pool),
+        )
+    };
+    let sides = [
+        side("off", PoolConfig::disabled()),
+        side("on", PoolConfig::default()),
+    ];
+    tree_arms(
+        c,
+        "pool",
+        &[Workload::WRITE_DOMINATED, Workload::MIXED],
+        sides,
+    )
+}
+
+/// The leaf A/B: `leaf_cap = 1` reproduces the one-key-per-leaf shape
+/// on the same arena, so the delta isolates the fat-leaf blocks.
+fn leaf_arms(c: Ctx) -> Vec<Arm> {
+    let side = |label: &'static str, cap: usize| -> Side {
+        let fields = fields! { leaf_cap: cap as u64 };
+        (
+            label,
+            Api::Handle,
+            fields,
+            TreeConfig::default().with_leaf_cap(cap),
+        )
+    };
+    let sides = [side("thin", 1), side("fat", nmbst::LEAF_CAP)];
+    tree_arms(
+        c,
+        "leaf",
+        &[Workload::READ_DOMINATED, Workload::MIXED],
+        sides,
+    )
+}
+
+/// The latency-recording A/B: default sampled recording vs disabled.
+fn obs_arms(c: Ctx) -> Vec<Arm> {
+    let shift = u64::from(LatencyConfig::default().sample_shift);
+    let side = |label: &'static str, lat: LatencyConfig| -> Side {
+        let fields = fields! { recording: label, sample_shift: shift };
+        (
+            label,
+            Api::Handle,
+            fields,
+            TreeConfig::default().with_latency(lat),
+        )
+    };
+    let sides = [
+        side("off", LatencyConfig::disabled()),
+        side("on", LatencyConfig::default()),
+    ];
+    tree_arms(
+        c,
+        "obs",
+        &[Workload::MIXED, Workload::READ_DOMINATED],
+        sides,
+    )
+}
+
+/// Gated on the median of the per-pair on/off ratios, not on medians
+/// of the arms: interference slows single runs by up to ~20% while the
+/// true cost is ~1%, so pairing an afflicted run of one arm with a
+/// clean run of the other manufactures a phantom cost.
+fn fold_obs(runs: [Vec<Sample>; 2]) -> Vec<Sample> {
+    let pairs = runs[1].iter().zip(&runs[0]);
+    let mut ratios: Vec<f64> = pairs.map(|(on, off)| on.key / off.key).collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
+    runs.map(|arm| {
+        let mut s = median(arm);
+        let lat = s.facts.iter().find(|f| f.0.ends_with(".lat_samples"));
+        let lat_samples = lat.map_or(0, |f| f.1 as u64);
+        s.metrics.insert(2, ("lat_samples", lat_samples.into()));
+        s.metrics.insert(3, ("pair_ratio_median", ratio.into()));
+        let workload = short(s.config[0].1.as_str().unwrap_or_default());
+        s.facts.push((format!("obs.{workload}.ratio"), ratio));
+        s
+    })
+    .into()
+}
+
+fn bulk_arms(c: Ctx) -> Vec<Arm> {
+    let config =
+        || fields! { keys: BULK_KEYS, loop_order: "shuffled", loop_api: Api::Handle.label() };
+    vec![
+        Box::new(move |_| Sample::new(bulk_build_secs(BULK_KEYS), config(), vec![])),
+        Box::new(move |_| Sample::new(loop_build_secs(BULK_KEYS, c.seed), config(), vec![])),
+    ]
+}
+
+fn fold_bulk(runs: [Vec<Sample>; 2]) -> Vec<Sample> {
+    let [bulk, lp] = runs.map(median);
+    let (bulk_secs, loop_secs) = (bulk.key, lp.key);
+    let speedup = loop_secs / bulk_secs;
+    let metrics = fields! {
+        bulk_secs: bulk_secs, loop_secs: loop_secs, speedup: speedup,
+        bulk_mkeys_per_sec: BULK_KEYS as f64 / bulk_secs / 1e6,
+    };
+    vec![Sample::new(0.0, bulk.config, metrics).with_facts("bulk", facts! { speedup: speedup })]
+}
+
+/// Identical clustered ascending runs through the batch entry points
+/// vs one key at a time on the same handle.
+fn sorted_batch_arms(c: Ctx) -> Vec<Arm> {
+    let arm = move |batched, label: &'static str| -> Arm {
+        Box::new(move |_| {
+            let cfg = fields! { workload: Workload::MIXED.name, api: label, batch_len: BATCH_LEN };
+            let run = sorted_batch_mops(batched, c.key_range, BATCH_LEN, c.secs, c.seed);
+            tree_sample(&format!("batch.{label}"), cfg, run)
+        })
+    };
+    vec![arm(false, "singles"), arm(true, "batched")]
+}
+
+/// Calibrates peak capacity at drain rate over the *full* session count
+/// (the store grows over the run, so a short calibration overestimates
+/// the sustainable rate); returns `cfg` paced at [`SERVE_UTIL`] of it,
+/// the peak's sessions/s and Mops/s, and the cell config fields.
+fn paced(cfg: ReplayConfig, workers: usize) -> (ReplayConfig, f64, f64, Fields) {
+    let drain = ReplayConfig {
+        arrival_rate: f64::INFINITY,
+        ..cfg.clone()
+    };
+    let calib = serve_run(&drain, workers, true).report;
+    let (rate, mops) = (calib.sessions_per_sec(), calib.mops());
+    println!(
+        "  peak {rate:.0} sessions/s, {mops:.3} Mops/s, {} conns",
+        calib.conns
+    );
+    let cfg = ReplayConfig {
+        arrival_rate: rate * SERVE_UTIL,
+        ..cfg
+    };
+    let mut config = replay_fields(&cfg, workers);
+    if cfg.sessions_per_conn > 0 {
+        config.extend(fields! { sessions_per_conn: cfg.sessions_per_conn });
+    }
+    config.extend(fields! {
+        key_range: cfg.key_range, zipf_theta: cfg.zipf_theta,
+        util: SERVE_UTIL, arrival_rate: cfg.arrival_rate,
+    });
+    (cfg, rate, mops, config)
+}
+
+/// The replay's session-shape config fields, shared by the serving cells.
+fn replay_fields(cfg: &ReplayConfig, workers: usize) -> Fields {
+    fields! {
+        workload: cfg.workload.name, sessions: cfg.sessions,
+        ops_per_session: u64::from(cfg.ops_per_session), workers: workers, clients: cfg.clients,
+    }
+}
+
+/// The metrics and facts every paced serving cell reports; `name`
+/// prefixes the facts. Keyed on p999, so the median run is the median
+/// tail.
+fn paced_sample(
+    name: &str,
+    run: &ServeRun,
+    config: &[(&'static str, Json)],
+    peak: (f64, f64),
+) -> Sample {
+    let r = &run.report;
+    let metrics = fields! {
+        max_mops: peak.1, max_sessions_per_sec: peak.0,
+        mops: r.mops(), sessions_per_sec: r.sessions_per_sec(), ops: r.ops,
+        p50_ns: r.percentile_ns(50.0), p99_ns: r.percentile_ns(99.0),
+        p999_ns: r.percentile_ns(99.9),
+        worker_ops: Json::Arr(run.worker_ops.iter().map(|&o| o.into()).collect()),
+        obs: snapshot_json(&run.snap),
+    };
+    let min_worker_ops = run.worker_ops.iter().copied().min().unwrap_or(0);
+    let key = r.percentile_ns(99.9) as f64;
+    Sample::new(key, config.to_vec(), metrics)
+        .with_facts(name, facts! { min_worker_ops: min_worker_ops })
+}
+
+/// Open-loop session replay against the server over loopback.
+fn serving_arms(c: Ctx) -> Vec<Arm> {
+    let workers = 2;
+    let cfg = ReplayConfig {
+        sessions: c.sessions,
+        clients: workers,
+        seed: c.seed,
+        ..ReplayConfig::default()
+    };
+    let (cfg, rate, max_mops, config) = paced(cfg, workers);
+    vec![Box::new(move |_| {
+        let mut run = serve_run(&cfg, workers, true);
+        let (rtt, wire) = (&run.report.rtt, &run.batch_wire);
+        let mut s = paced_sample("serve", &run, &config, (rate, max_mops)).with_facts(
+            "serve",
+            facts! {
+                max_mops: max_mops, client_frames: rtt.len(), server_frames: wire.len(),
+                client_p99: rtt.percentile(99.0), server_p99: wire.percentile(99.0),
+            },
+        );
+        s.metrics.extend(fields! {
+            client_rtt_p50_ns: rtt.percentile(50.0), client_rtt_p99_ns: rtt.percentile(99.0),
+            server_wire_p50_ns: wire.percentile(50.0), server_wire_p99_ns: wire.percentile(99.0),
+            frames: wire.len(), slow_records: run.slow.len(), batch_fused_ops: run.batch_fused_ops,
+        });
+        s.slow = std::mem::take(&mut run.slow);
+        s
+    })]
+}
+
+/// Every client redials every 32 sessions and ships pipelined
+/// per-session BATCH frames: 16 concurrent connections over 2 workers.
+fn churn_arms(c: Ctx) -> Vec<Arm> {
+    let workers = 2;
+    let cfg = ReplayConfig {
+        sessions: (c.sessions / 4).max(1_000),
+        clients: workers * 8,
+        sessions_per_conn: 32,
+        seed: c.seed,
+        ..ReplayConfig::default()
+    };
+    let (cfg, rate, max_mops, config) = paced(cfg, workers);
+    let schedule_secs = cfg.sessions as f64 / cfg.arrival_rate;
+    vec![Box::new(move |_| {
+        let run = serve_run(&cfg, workers, true);
+        let r = &run.report;
+        let mut s = paced_sample("churn", &run, &config, (rate, max_mops)).with_facts(
+            "churn",
+            facts! {
+                clients: cfg.clients, workers: workers, conns: r.conns,
+                drained: u8::from(run.drained), elapsed_secs: r.elapsed.as_secs_f64(),
+                schedule_secs: schedule_secs,
+            },
+        );
+        s.metrics.extend(fields! {
+            conns: r.conns, backpressure_events: run.backpressure_events,
+            drained: u64::from(run.drained),
+        });
+        s
+    })]
+}
+
+/// One client, the same seeded uniform GET stream, blocking vs
+/// pipelined, against one long-lived server with every other key
+/// preloaded (so GETs split hit/miss).
+fn pipelining_arms(c: Ctx) -> Vec<Arm> {
+    let range = c.key_range.min(1 << 18);
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect to server");
+    let keys: Vec<u64> = (0..range).step_by(2).collect();
+    for chunk in keys.chunks(1024) {
+        let ops: Vec<BatchOp> = chunk.iter().map(|&k| BatchOp::Insert(k, k)).collect();
+        client.batch(&ops).expect("preload batch");
+    }
+    let arm = move |addr, pipelined, rep: usize| {
+        let mops = pipeline_arm_mops(addr, pipelined, range, c.secs, c.seed ^ rep as u64);
+        let config = fields! {
+            workload: "uniform_get", window: Client::PIPELINE_WINDOW,
+            threads: Json::Int(1), workers: Json::Int(2), key_range: range,
+        };
+        Sample::new(mops, config, vec![])
+    };
+    // The blocking arm owns the server, which shuts down with the arms.
+    vec![
+        Box::new(move |rep| arm(server.addr(), false, rep)),
+        Box::new(move |rep| arm(addr, true, rep)),
+    ]
+}
+
+fn fold_pipelining(runs: [Vec<Sample>; 2]) -> Vec<Sample> {
+    let [serial, pipelined] = runs.map(median);
+    let speedup = pipelined.key / serial.key;
+    let metrics =
+        fields! { serial_mops: serial.key, pipelined_mops: pipelined.key, speedup: speedup };
+    vec![Sample::new(0.0, serial.config, metrics).with_facts("pipe", facts! { speedup: speedup })]
+}
+
+/// Drain-rate replays against fresh servers that differ in
+/// `fuse_batches`, in the frame shape fusion targets: high-occupancy
+/// BATCH frames over a key range dense enough that sorted per-shard
+/// runs land on adjacent leaves. (The default replay shape leaves the
+/// tree so small a slice of loopback time that the A/B would measure
+/// syscall jitter.)
+fn fusion_arms(c: Ctx) -> Vec<Arm> {
+    let workers = 2;
+    let cfg = ReplayConfig {
+        sessions: (c.sessions / 4).max(1_000),
+        clients: workers,
+        arrival_rate: f64::INFINITY,
+        key_range: 1 << 14,
+        coalesce: 256,
+        coalesce_ops: FUSION_OPS,
+        seed: c.seed,
+        ..ReplayConfig::default()
+    };
+    let mut config = replay_fields(&cfg, workers);
+    config.extend(fields! {
+        coalesce_ops: FUSION_OPS as u64, key_range: cfg.key_range, zipf_theta: cfg.zipf_theta,
+    });
+    let arm = |fused| -> Arm {
+        let (cfg, config) = (cfg.clone(), config.clone());
+        Box::new(move |_| {
+            let run = serve_run(&cfg, workers, fused);
+            let counts = facts! {
+                finger_hits: run.snap.finger_hits, finger_misses: run.snap.finger_misses,
+                fused_ops: run.batch_fused_ops, single_ops: run.batch_single_ops,
+            };
+            Sample::new(run.report.mops(), config.clone(), vec![]).with_facts("run", counts)
+        })
+    };
+    vec![arm(false), arm(true)]
+}
+
+/// Medians of each arm's Mops/s; the fused arm's finger and op counts
+/// (and the control's unrolled ops) summed over every run.
+fn fold_fusion(runs: [Vec<Sample>; 2]) -> Vec<Sample> {
+    let total = |arm: &[Sample], key: &str| -> u64 {
+        let facts = arm.iter().flat_map(|s| &s.facts);
+        facts
+            .filter(|f| f.0 == format!("run.{key}"))
+            .map(|f| f.1 as u64)
+            .sum()
+    };
+    let [hits, misses, fused_ops] =
+        ["finger_hits", "finger_misses", "fused_ops"].map(|k| total(&runs[1], k));
+    let single_ops = total(&runs[0], "single_ops");
+    let [unfused, fused] = runs.map(median);
+    let metrics = fields! {
+        unfused_mops: unfused.key, fused_mops: fused.key, speedup: fused.key / unfused.key,
+        fused_finger_hits: hits, fused_finger_misses: misses,
+        batch_fused_ops: fused_ops, batch_single_ops: single_ops,
+    };
+    let facts = facts! {
+        fused_mops: fused.key, unfused_mops: unfused.key, finger_hits: hits,
+        fused_ops: fused_ops, single_ops: single_ops,
+    };
+    vec![Sample::new(0.0, unfused.config, metrics).with_facts("fusion", facts)]
+}
+
+/// The baseline file's gated figures, read and parsed once: each
+/// `single_thread_throughput` cell's `mops` and the first
+/// `serving_replay` cell's `max_mops`. With `NMBST_BASELINE_JSON` unset
+/// there are none, so every baseline bound skips; an unreadable or
+/// unparsable file sets `baseline.unreadable`, which a hard gate fails.
+fn read_baseline() -> Facts {
+    let mut facts = Facts::default();
+    let Some(path) = env_var::<String>("NMBST_BASELINE_JSON") else {
+        return facts;
+    };
+    let parsed = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text));
+    let baseline = match parsed {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("error: cannot read baseline {path}: {e}");
+            facts.0.insert("baseline.unreadable".into(), 1.0);
+            return facts;
+        }
+    };
+    for c in baseline
         .get("cells")
         .and_then(Json::as_arr)
         .unwrap_or_default()
-        .iter()
-        .find_map(|c| {
-            (c.get("bench")?.as_str()? == "serving_replay")
-                .then(|| c.get("metrics")?.get("max_mops")?.as_f64())
-                .flatten()
-        });
-    let Some(base) = base else {
-        println!("  serving baseline: no serving_replay cell in {baseline_path} — skipped");
-        return pass;
-    };
-    let floor = base * (1.0 - tolerance);
-    let ok = max_mops >= floor;
-    println!(
-        "  serving peak {max_mops:.3} Mops/s vs baseline {base:.3} (floor {floor:.3}) — {}",
-        if ok { "ok" } else { "FAIL" }
-    );
-    if !ok {
-        eprintln!(
-            "error: serving peak capacity trails the baseline by more than {:.0}%",
-            tolerance * 100.0
-        );
-    }
-    pass && ok
-}
-
-/// The bulk-load gate: the O(n) balanced build must beat loop-insert
-/// (shuffled order, handle API) by at least `NMBST_BULK_MIN_SPEEDUP`×
-/// (default 2.0). The bulk path allocates from the pool, does zero CAS
-/// work, and never re-descends — if it can't clear 2× something is
-/// structurally wrong, not jittery.
-fn check_bulk_gate(bulk_secs: f64, loop_secs: f64, keys: u64) -> bool {
-    let min_speedup = std::env::var("NMBST_BULK_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(2.0);
-    let speedup = loop_secs / bulk_secs;
-    let pass = speedup >= min_speedup;
-    println!(
-        "  bulk {:.1} ms vs loop {:.1} ms for {keys} keys — {speedup:.1}x (floor {min_speedup:.1}x)  [{}]",
-        bulk_secs * 1e3,
-        loop_secs * 1e3,
-        if pass { "ok" } else { "REGRESSED" },
-    );
-    if !pass {
-        eprintln!("error: bulk load only {speedup:.2}x faster than shuffled loop-insert (need {min_speedup:.1}x)");
-    }
-    pass
-}
-
-/// The sorted-batch gate: the batched cell must not trail the
-/// one-at-a-time cell by more than `NMBST_BATCH_TOLERANCE` (relative,
-/// default 0.05 — the finger exists to *win* this cell; the tolerance
-/// only absorbs single-core scheduler jitter), and it must have
-/// recorded at least one finger hit. A zero hit count with green
-/// throughput means the anchor gate is rejecting every op and the
-/// batch API silently degraded to root descents.
-fn check_batch_gate(singles_mops: f64, batched_mops: f64, finger_hits: u64) -> bool {
-    let tolerance = std::env::var("NMBST_BATCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05);
-    let floor = singles_mops * (1.0 - tolerance);
-    let fast_enough = batched_mops >= floor;
-    let finger_alive = finger_hits > 0;
-    println!(
-        "  batch gate: batched {batched_mops:.3} Mops/s vs singles {singles_mops:.3} (floor {floor:.3}), finger hits {finger_hits}  [{}]",
-        if fast_enough && finger_alive { "ok" } else { "REGRESSED" },
-    );
-    if !fast_enough {
-        eprintln!(
-            "error: batched sorted runs trail one-at-a-time by more than {:.1}%",
-            tolerance * 100.0
-        );
-    }
-    if !finger_alive {
-        eprintln!("error: sorted-batch cell recorded zero finger hits — the anchor gate is dead");
-    }
-    fast_enough && finger_alive
-}
-
-/// The leaf ablation gate, two clauses:
-///
-/// * **Win** — the fat-leaf read-dominated cell must not trail the
-///   `leaf_cap = 1` cell by more than `NMBST_LEAF_TOLERANCE` (relative,
-///   default 0.05). Fat leaves exist to win the read path; the
-///   tolerance only absorbs single-core scheduler jitter.
-/// * **Attribution** — the thin tree's max observed descent depth must
-///   be *strictly deeper* than the fat tree's. Both cells run the same
-///   seeded key stream, so this is deterministic: if it ever fails, the
-///   ablation stopped reproducing the pre-PR 7 one-key-per-leaf shape
-///   and the throughput delta no longer isolates leaf compaction.
-fn check_leaf_gate(read_dom_mops: [f64; 2], max_depths: [u64; 2]) -> bool {
-    let tolerance = std::env::var("NMBST_LEAF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05);
-    let [thin_mops, fat_mops] = read_dom_mops;
-    let [thin_depth, fat_depth] = max_depths;
-    let floor = thin_mops * (1.0 - tolerance);
-    let fast_enough = fat_mops >= floor;
-    let shape_ok = thin_depth > fat_depth;
-    println!(
-        "== leaf gate (tolerance {:.0}%) ==\n  read-dominated fat {fat_mops:.3} Mops/s vs cap-1 {thin_mops:.3} (floor {floor:.3}), depth {fat_depth} vs {thin_depth}  [{}]",
-        tolerance * 100.0,
-        if fast_enough && shape_ok { "ok" } else { "REGRESSED" },
-    );
-    if !fast_enough {
-        eprintln!(
-            "error: fat-leaf read-dominated throughput trails leaf_cap=1 by more than {:.1}%",
-            tolerance * 100.0
-        );
-    }
-    if !shape_ok {
-        eprintln!(
-            "error: leaf_cap=1 ablation no longer reproduces the deep pre-fat-leaf shape \
-             (thin max_depth {thin_depth} vs fat {fat_depth}) — attribution lost"
-        );
-    }
-    fast_enough && shape_ok
-}
-
-/// The pool ablation gate: pool-on must not trail pool-off on the
-/// insert-heavy cell by more than `NMBST_POOL_TOLERANCE` (relative,
-/// default 0.10). The pool exists to *win* this cell; the tolerance
-/// only absorbs scheduler jitter on shared single-core runners, not a
-/// real regression.
-fn check_pool_gate(off_mops: f64, on_mops: f64) -> bool {
-    let tolerance = std::env::var("NMBST_POOL_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10);
-    let floor = off_mops * (1.0 - tolerance);
-    let pass = on_mops >= floor;
-    println!(
-        "== pool gate (tolerance {:.0}%) ==\n  insert-heavy pool-on {on_mops:.3} Mops/s vs pool-off {off_mops:.3} (floor {floor:.3})  [{}]",
-        tolerance * 100.0,
-        if pass { "ok" } else { "REGRESSED" },
-    );
-    if !pass {
-        eprintln!(
-            "error: pool-on insert-heavy throughput trails pool-off by more than {:.1}%",
-            tolerance * 100.0
-        );
-    }
-    pass
-}
-
-/// The throughput regression gate: compares this run's mixed and
-/// read-dominated single-thread cells against the bench file named by
-/// `NMBST_BASELINE_JSON` (no-op when unset). Tolerance is relative, from
-/// `NMBST_PERF_TOLERANCE` (default 0.03 = 3%, the observability budget).
-fn check_against_baseline(gate_mops: &[(&'static str, &'static str, f64)]) -> bool {
-    let Some(baseline_path) = std::env::var("NMBST_BASELINE_JSON")
-        .ok()
-        .filter(|p| !p.is_empty())
-    else {
-        return true;
-    };
-    let tolerance = std::env::var("NMBST_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.03);
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: cannot parse baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let cells = baseline
-        .get("cells")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    let baseline_mops = |workload: &str, api: &str| -> Option<f64> {
-        cells.iter().find_map(|c| {
-            let cfg = c.get("config")?;
-            (c.get("bench")?.as_str()? == "single_thread_throughput"
-                && cfg.get("workload")?.as_str()? == workload
-                && cfg.get("api")?.as_str()? == api)
-                .then(|| c.get("metrics")?.get("mops")?.as_f64())
-                .flatten()
-        })
-    };
-
-    println!(
-        "== baseline gate ({baseline_path}, tolerance {:.0}%) ==",
-        tolerance * 100.0
-    );
-    let mut ok = true;
-    for &(workload, api, current) in gate_mops {
-        let Some(base) = baseline_mops(workload, api) else {
-            println!("  {workload:<24} {api:<10} no baseline cell — skipped");
-            continue;
+    {
+        let num = |key| at(c, "metrics", key).and_then(Json::as_f64);
+        let text = |key| at(c, "config", key).and_then(Json::as_str);
+        let fact = match c.get("bench").and_then(Json::as_str) {
+            Some("serving_replay") => num("max_mops").map(|v| ("serve.max_mops".to_string(), v)),
+            Some("single_thread_throughput") => text("workload")
+                .zip(text("api"))
+                .zip(num("mops"))
+                .map(|((w, api), v)| (format!("{}/{api}", short(w)), v)),
+            _ => None,
         };
-        let floor = base * (1.0 - tolerance);
-        let pass = current >= floor;
-        ok &= pass;
-        println!(
-            "  {workload:<24} {api:<10} {current:.3} Mops/s vs baseline {base:.3} (floor {floor:.3})  [{}]",
-            if pass { "ok" } else { "REGRESSED" },
+        if let Some((k, v)) = fact {
+            facts.0.entry(format!("baseline.{k}")).or_insert(v);
+        }
+    }
+    facts
+}
+
+fn at<'a>(cell: &'a Json, section: &str, key: &str) -> Option<&'a Json> {
+    cell.get(section)?.get(key)
+}
+
+/// An arm's console line: its own config values, then its scalar metrics.
+fn describe(s: &Sample) -> String {
+    let plain = |v: &Json| v.as_str().map_or_else(|| v.render(), str::to_string);
+    let mut line: Vec<String> = s.config.iter().map(|(_, v)| plain(v)).collect();
+    for (k, v) in &s.metrics {
+        match v {
+            Json::Num(n) => line.push(format!("{k}={n:.3}")),
+            Json::Int(_) | Json::Bool(_) => line.push(format!("{k}={}", plain(v))),
+            _ => {}
+        }
+    }
+    line.join(" ")
+}
+
+fn main() {
+    // Every knob must parse before anything is measured.
+    for gate in ROWS.iter().flat_map(|row| row.gates) {
+        if let Gate::Bound(_, knob, ..) = gate {
+            knob.value();
+        }
+    }
+    let ctx = Ctx::from_env();
+    let out_path = env_var::<String>(criterion::BENCH_JSON_ENV).unwrap_or("BENCH_PR10.json".into());
+    let mut facts = read_baseline();
+    let (mut cells, mut slow) = (Vec::new(), Vec::new());
+    for row in ROWS {
+        println!("== {} ==", row.bench);
+        for s in row.run(ctx) {
+            println!("  {}", describe(&s));
+            let mut config = s.config;
+            config.extend(row.shared.iter().map(|f| f.field(ctx, row.repeats())));
+            cells.push(json::cell(
+                row.bench,
+                Json::obj(config),
+                Json::obj(s.metrics),
+            ));
+            facts.0.extend(s.facts);
+            slow.extend(s.slow);
+        }
+    }
+    let path = std::path::Path::new(&out_path);
+    json::write_bench_file(path, &cells).expect("write bench json");
+    println!("wrote {} cells to {}", cells.len(), path.display());
+
+    println!("== gates ==");
+    let mut failed = 0;
+    for row in ROWS {
+        for gate in row.gates {
+            let (pass, detail) = gate.verdict(&facts);
+            let label = match pass {
+                Some(true) => "ok",
+                Some(false) => "FAIL",
+                None => "skip",
+            };
+            println!("  [{label}] {}: {detail}", row.bench);
+            failed += usize::from(pass == Some(false));
+        }
+    }
+    if failed > 0 {
+        eprintln!("error: {failed} gate(s) failed");
+        dump_slowlog(&slow);
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gates() -> impl Iterator<Item = &'static Gate> {
+        ROWS.iter().flat_map(|row| row.gates)
+    }
+
+    fn facts(pairs: &[(&str, f64)]) -> Facts {
+        Facts(pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect())
+    }
+
+    #[test]
+    fn knobs_are_eleven_unique_names_with_their_defaults() {
+        let mut knobs: Vec<(&str, f64)> = gates()
+            .filter_map(|g| match g {
+                Gate::Bound(_, knob, ..) => Some((knob.env, knob.default)),
+                Gate::Hard(..) => None,
+            })
+            .collect();
+        knobs.sort_by(|a, b| a.0.cmp(b.0));
+        knobs.dedup();
+        let mut names: Vec<&str> = knobs.iter().map(|k| k.0).collect();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            knobs.len(),
+            "a name with two defaults: {knobs:?}"
         );
-        if !pass {
-            eprintln!(
-                "error: {workload} throughput ({api}) regressed more than {:.1}% vs {baseline_path}",
-                tolerance * 100.0
+        assert!(names.iter().all(|n| n.starts_with("NMBST_")), "{names:?}");
+        let expected = [
+            ("NMBST_AGREE_TOLERANCE", 0.15),
+            ("NMBST_BATCH_TOLERANCE", 0.05),
+            ("NMBST_BULK_MIN_SPEEDUP", 2.0),
+            ("NMBST_CHURN_SLACK", 1.0),
+            ("NMBST_FUSION_TOLERANCE", 0.05),
+            ("NMBST_LEAF_TOLERANCE", 0.05),
+            ("NMBST_OBS_TOLERANCE", 0.03),
+            ("NMBST_PERF_TOLERANCE", 0.03),
+            ("NMBST_PIPELINE_MIN_SPEEDUP", 2.0),
+            ("NMBST_POOL_TOLERANCE", 0.10),
+            ("NMBST_SERVE_TOLERANCE", 0.25),
+        ];
+        assert_eq!(knobs, expected);
+        let bounds = gates().filter(|g| matches!(g, Gate::Bound(..))).count();
+        assert_eq!(
+            bounds, 14,
+            "four baseline floors and one bound per other knob"
+        );
+    }
+
+    #[test]
+    fn bounds_pass_at_their_bound_and_fail_just_past_it() {
+        for gate in gates() {
+            let &Gate::Bound(rule, knob, subject, reference) = gate else {
+                continue;
+            };
+            let base: Vec<(&str, f64)> = reference.map(|r| (r, 2.0)).into_iter().collect();
+            let at = rule.threshold(if reference.is_some() { 2.0 } else { 1.0 }, knob.value());
+            let past = match rule {
+                Rule::Ceiling => at.next_up(),
+                Rule::Floor | Rule::Speedup => at.next_down(),
+            };
+            let with = |x: f64| facts(&[base.as_slice(), &[(subject, x)]].concat());
+            assert_eq!(gate.verdict(&with(at)).0, Some(true), "{subject} at {at}");
+            assert_eq!(
+                gate.verdict(&with(past)).0,
+                Some(false),
+                "{subject} at {past}"
+            );
+            assert_eq!(
+                gate.verdict(&facts(&base)).0,
+                Some(false),
+                "{subject} missing"
+            );
+            if let Some(reference) = reference {
+                let skips = reference.starts_with("baseline.");
+                let unreferenced = gate.verdict(&facts(&[(subject, at)])).0;
+                assert_eq!(
+                    unreferenced,
+                    (!skips).then_some(false),
+                    "{subject} unreferenced"
+                );
+            }
+        }
+    }
+
+    /// Facts on which every hard predicate holds.
+    const HEALTHY: &[(&str, f64)] = &[
+        ("table1.per_op_pin.insert_allocs", 2.0),
+        ("table1.per_op_pin.delete_allocs", 0.0),
+        ("table1.per_op_pin.insert_atomics", 1.0),
+        ("table1.per_op_pin.delete_atomics", 3.0),
+        ("table1.handle.insert_allocs", 2.0),
+        ("table1.handle.delete_allocs", 0.0),
+        ("table1.handle.insert_atomics", 1.0),
+        ("table1.handle.delete_atomics", 3.0),
+        ("pool.mixed/on.pool_hits", 1.0),
+        ("leaf.read/thin.max_depth", 21.0),
+        ("leaf.read/fat.max_depth", 13.0),
+        ("batch.batched.finger_hits", 1.0),
+        ("obs.mixed.ratio", 1.0),
+        ("obs.mixed/on.lat_samples", 1.0),
+        ("obs.read/on.lat_samples", 1.0),
+        ("serve.min_worker_ops", 1.0),
+        ("serve.client_frames", 10.0),
+        ("serve.server_frames", 10.0),
+        ("serve.client_p99", 100.0),
+        ("serve.server_p99", 1.0),
+        ("churn.min_worker_ops", 1.0),
+        ("churn.clients", 16.0),
+        ("churn.workers", 2.0),
+        ("churn.conns", 17.0),
+        ("churn.drained", 1.0),
+        ("fusion.finger_hits", 1.0),
+        ("fusion.fused_ops", 1.0),
+        ("fusion.single_ops", 1.0),
+    ];
+
+    /// A phrase of each hard predicate's error, with a change to
+    /// [`HEALTHY`] that must trip it.
+    const TRIPS: &[(&str, (&str, f64))] = &[
+        ("baseline file", ("baseline.unreadable", 1.0)),
+        (
+            "plain-API Table-1",
+            ("table1.per_op_pin.insert_allocs", 3.0),
+        ),
+        (
+            "plain-API Table-1",
+            ("table1.per_op_pin.delete_allocs", 1.0),
+        ),
+        (
+            "plain-API Table-1",
+            ("table1.per_op_pin.insert_atomics", 2.0),
+        ),
+        (
+            "plain-API Table-1",
+            ("table1.per_op_pin.delete_atomics", 2.0),
+        ),
+        ("handle Table-1", ("table1.handle.insert_allocs", 1.0)),
+        ("handle Table-1", ("table1.handle.delete_atomics", 4.0)),
+        ("zero pool hits", ("pool.mixed/on.pool_hits", 0.0)),
+        ("not deeper", ("leaf.read/thin.max_depth", 13.0)),
+        (
+            "batched cell recorded zero finger hits",
+            ("batch.batched.finger_hits", 0.0),
+        ),
+        ("not finite and positive", ("obs.mixed.ratio", 0.0)),
+        ("not finite and positive", ("obs.mixed.ratio", f64::NAN)),
+        (
+            "not finite and positive",
+            ("obs.mixed.ratio", f64::INFINITY),
+        ),
+        ("zero latency samples", ("obs.mixed/on.lat_samples", 0.0)),
+        ("zero latency samples", ("obs.read/on.lat_samples", 0.0)),
+        ("serving worker", ("serve.min_worker_ops", 0.0)),
+        ("frame counts", ("serve.server_frames", 9.0)),
+        ("unit mismatch", ("serve.client_p99", 100.5)),
+        ("churn worker", ("churn.min_worker_ops", 0.0)),
+        ("under 8x", ("churn.clients", 15.0)),
+        ("no churn", ("churn.conns", 16.0)),
+        ("stuck open", ("churn.drained", 0.0)),
+        ("fused servers", ("fusion.finger_hits", 0.0)),
+        ("execute_batch", ("fusion.fused_ops", 0.0)),
+        ("control arm", ("fusion.single_ops", 0.0)),
+    ];
+
+    #[test]
+    fn hard_predicates_hold_when_healthy_and_fail_on_their_trips() {
+        let hard: Vec<(&str, &Gate)> = gates()
+            .filter_map(|g| match g {
+                Gate::Hard(error, _) => Some((*error, g)),
+                Gate::Bound(..) => None,
+            })
+            .collect();
+        for (error, gate) in &hard {
+            assert_eq!(gate.verdict(&facts(HEALTHY)).0, Some(true), "{error}");
+            assert!(
+                TRIPS.iter().any(|t| error.contains(t.0)),
+                "no trip for {error:?}"
             );
         }
+        for &(phrase, (key, value)) in TRIPS {
+            let matches: Vec<_> = hard.iter().filter(|(e, _)| e.contains(phrase)).collect();
+            assert_eq!(matches.len(), 1, "{phrase:?} must name one hard gate");
+            let mut tripped = facts(HEALTHY);
+            tripped.0.insert(key.to_string(), value);
+            let verdict = matches[0].1.verdict(&tripped).0;
+            assert_eq!(verdict, Some(false), "{phrase} with {key}={value}");
+        }
     }
-    ok
+
+    #[test]
+    fn knob_values_with_a_percent_sign_are_rejected() {
+        let parse = |raw| nmbst_bench::parse_var::<f64>(POOL_TOL.env, Some(raw));
+        assert!(parse("25%").is_err());
+        assert_eq!(parse("0.25"), Ok(Some(0.25)));
+    }
 }

@@ -9,16 +9,19 @@
 //! the op (retries, helps, splices), truncated to [`SLOW_EVENTS`].
 //!
 //! The ring is multi-producer/multi-consumer without locks: writers
-//! claim a slot with one `fetch_add` on the head ticket, then publish
-//! through a Vyukov-style per-slot sequence word (odd while writing,
-//! even-and-ticket-tagged when stable). Readers sample every slot and
-//! discard torn ones by re-checking the sequence — no reader ever
-//! blocks a writer, and the ring keeps the *latest* window when full,
-//! the same retention policy as the flight recorder. Record payloads
-//! are stored through relaxed atomics (five words per slot), so a torn
-//! read is detected, never undefined.
+//! take a ticket with one `fetch_add` on the head, then claim the
+//! ticket's slot with a compare-exchange on its sequence word (odd
+//! while writing, even-and-ticket-tagged when stable) and publish
+//! seqlock-style. A writer whose slot is mid-write or already holds a
+//! newer record drops its record, so a slot's sequence only moves
+//! forward. Readers sample every slot and discard torn ones by
+//! re-checking the sequence — no reader ever blocks a writer, and the
+//! ring keeps the *latest* window when full, the same retention policy
+//! as the flight recorder. Record payloads are stored through relaxed
+//! atomics (five words per slot) bracketed by fences, so a torn read is
+//! detected, never undefined.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Max structural events a [`SlowOp`] retains from the flight recorder.
 pub const SLOW_EVENTS: usize = 12;
@@ -110,10 +113,11 @@ pub fn slow_event_name(discriminant: u8) -> &'static str {
 /// One ring slot: a Vyukov-style sequence word plus the five payload
 /// words, all atomics so concurrent access is detected-torn, never UB.
 struct Slot {
-    /// Odd while a writer is mid-publish; `2 * (ticket + 1)` once the
-    /// record for `ticket` is stable. Even values are strictly
-    /// monotonic per slot, so a reader that sees the same even value
-    /// before and after its payload loads read a consistent record.
+    /// Odd (`2 * ticket + 1`) while a writer is mid-publish;
+    /// `2 * (ticket + 1)` once the record for `ticket` is stable. Only
+    /// moves forward (claims are compare-exchanges from a smaller even
+    /// value), so a reader that sees the same even value before and
+    /// after its payload loads read a consistent record.
     seq: AtomicU64,
     words: [AtomicU64; 5],
 }
@@ -157,21 +161,38 @@ impl SlowRing {
         }
     }
 
-    /// Deposits one record: one `fetch_add` to claim a ticket, six
-    /// relaxed stores to publish. Lock-free and allocation-free.
+    /// Deposits one record: one `fetch_add` to take a ticket, one
+    /// compare-exchange to claim its slot, six stores to publish.
+    /// Lock-free and allocation-free. The record is dropped when the
+    /// slot is mid-write (a writer one lap behind still holds it) or
+    /// already holds a newer record.
     pub fn push(&self, op: SlowOp) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let words = op.encode();
-        // Odd = in flight. Two writers lapping each other on this slot
-        // (ticket and ticket + cap) may interleave; readers discard the
-        // torn result because the final even value they need to match
-        // is ticket-tagged and strictly monotonic.
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        for (w, &v) in slot.words.iter().zip(words.iter()) {
+        let claim = 2 * ticket + 1;
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seq & 1 == 1 || seq > claim {
+                return;
+            }
+            // Acquire: the previous record's payload stores happen
+            // before ours, so ours are the later values of every word.
+            match slot
+                .seq
+                .compare_exchange_weak(seq, claim, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => seq = now,
+            }
+        }
+        // Orders the odd claim before the payload: a reader that loads
+        // any word of ours then re-reads `seq` after its acquire fence
+        // sees the claim (or later) and discards the record.
+        fence(Ordering::Release);
+        for (w, v) in slot.words.iter().zip(op.encode()) {
             w.store(v, Ordering::Relaxed);
         }
-        slot.seq.store(2 * (ticket + 1), Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
     }
 
     /// Total records ever deposited (including overwritten ones).
@@ -190,9 +211,12 @@ impl SlowRing {
             }
             let mut words = [0u64; 5];
             for (v, w) in words.iter_mut().zip(slot.words.iter()) {
-                *v = w.load(Ordering::Acquire);
+                *v = w.load(Ordering::Relaxed);
             }
-            if slot.seq.load(Ordering::Acquire) != before {
+            // Pairs with the writer's release fence: if any word came
+            // from a newer writer, the re-read below sees its claim.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != before {
                 continue; // overwritten while we read
             }
             out.push((before, SlowOp::decode(words)));
