@@ -947,6 +947,9 @@ const ROWS: &[Row] = &[
             floor(POOL_TOL, "pool.write/on.mops", "pool.write/off.mops"),
             hard("the mixed pool-on cell recorded zero pool hits",
                 |f| f.of("pool.mixed/on.pool_hits") > 0.0),
+            hard("a pool-on cell abandoned reclaimed slots", |f| {
+                f.of("pool.write/on.pool_dropped") == 0.0 && f.of("pool.mixed/on.pool_dropped") == 0.0
+            }),
         ] },
     Row { bench: "leaf_ablation", repeat: Median(3), shared: TREE, arms: leaf_arms,
         gates: &[
@@ -1023,7 +1026,8 @@ fn tree_sample(
     Sample::new(mops, config, metrics).with_facts(
         name,
         facts! {
-            mops: mops, pool_hits: snap.pool.hits, max_depth: snap.max_depth,
+            mops: mops, pool_hits: snap.pool.hits, pool_dropped: snap.pool.dropped,
+            max_depth: snap.max_depth,
             finger_hits: snap.finger_hits, lat_samples: snap.latency.len(),
         },
     )
@@ -1119,7 +1123,7 @@ fn tree_arms(c: Ctx, name: &'static str, workloads: &[Workload], sides: [Side; 2
 /// round-tripping the allocator.
 fn pool_arms(c: Ctx) -> Vec<Arm> {
     let side = |label: &'static str, pool: PoolConfig| -> Side {
-        let fields = fields! { pool: label, pool_capacity: pool.capacity };
+        let fields = fields! { pool: label };
         (
             label,
             Api::Handle,
@@ -1675,6 +1679,8 @@ mod tests {
         ("table1.handle.insert_atomics", 1.0),
         ("table1.handle.delete_atomics", 3.0),
         ("pool.mixed/on.pool_hits", 1.0),
+        ("pool.write/on.pool_dropped", 0.0),
+        ("pool.mixed/on.pool_dropped", 0.0),
         ("leaf.read/thin.max_depth", 21.0),
         ("leaf.read/fat.max_depth", 13.0),
         ("batch.batched.finger_hits", 1.0),
@@ -1719,6 +1725,7 @@ mod tests {
         ("handle Table-1", ("table1.handle.insert_allocs", 1.0)),
         ("handle Table-1", ("table1.handle.delete_atomics", 4.0)),
         ("zero pool hits", ("pool.mixed/on.pool_hits", 0.0)),
+        ("abandoned reclaimed", ("pool.write/on.pool_dropped", 1.0)),
         ("not deeper", ("leaf.read/thin.max_depth", 13.0)),
         (
             "batched cell recorded zero finger hits",

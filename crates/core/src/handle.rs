@@ -17,7 +17,7 @@
 use crate::obs::{self, EventKind, OpClass, PendingLat, PendingOps};
 use crate::pool::NodeCache;
 use crate::shard::{BatchCmd, BatchVerdict};
-use crate::tree::{NmTreeMap, One, RunSource, SeekRecord};
+use crate::tree::{NmTreeMap, One, RunSource, SeekRecord, WARM_GROUP};
 use nmbst_reclaim::{Ebr, Reclaim};
 
 /// How many operations a handle performs on one guard before re-pinning,
@@ -163,13 +163,20 @@ where
         self.flush_pending();
     }
 
+    /// (Re)pins if the guard is missing or its budget is spent, without
+    /// charging an op against it.
+    #[inline]
+    fn pin_if_due(&mut self) {
+        if self.guard.is_none() || self.ops_since_repin >= self.repin_every {
+            self.repin();
+        }
+    }
+
     /// Charges one operation against the re-pin budget, (re)pinning if
     /// the guard is missing or expired.
     #[inline]
     fn tick(&mut self) {
-        if self.guard.is_none() || self.ops_since_repin >= self.repin_every {
-            self.repin();
-        }
+        self.pin_if_due();
         self.ops_since_repin += 1;
     }
 
@@ -482,6 +489,21 @@ where
         removed.is_some()
     }
 
+    /// The batch warm pass ([`NmTreeMap::warm_paths`]) for the keys
+    /// `key(0) .. key(len - 1)`, under this handle's guard. It pins the
+    /// way [`tick`](Self::tick) does but charges no op: the pass is not
+    /// an operation, and the ops it warms for charge themselves.
+    fn warm<'k>(&mut self, len: usize, key: impl Fn(usize) -> &'k K)
+    where
+        K: 'k,
+    {
+        self.pin_if_due();
+        let guard = self.guard.as_ref().expect("pinned by pin_if_due");
+        // SAFETY: `guard` pins this tree's reclaimer (pinned from
+        // `self.tree` in `repin`) and lives across the pass.
+        unsafe { self.tree.warm_paths(guard, len, key) };
+    }
+
     #[inline]
     fn note_finger(&mut self, hit: bool) {
         self.pending.finger_hits += u64::from(hit);
@@ -544,6 +566,13 @@ where
     /// that land in one leaf publish together with one CAS and
     /// linearize there, in `run` order).
     ///
+    /// Each group of 16 consecutive commands of `run` first gets one
+    /// read-only warm pass: the group's 16 descents run in lockstep and
+    /// prefetch the leaf blocks they reach, so their cache misses
+    /// overlap instead of queueing one behind the other (see DESIGN.md
+    /// §19). The pass changes no reply and no count: the commands then
+    /// run exactly as they would cold.
+    ///
     /// Replies and final state are those of executing the commands one
     /// at a time in `run` order. Order `run` by key (ties in input
     /// order) — as `ShardedMapHandle::execute_batch` does — so the
@@ -557,34 +586,46 @@ where
     where
         V: Clone,
     {
+        let key = |i: usize| cmds[run[i] as usize].key();
+        // Positions `..warmed` of `run` have had their warm pass.
+        let mut warmed = 0;
         let mut j = 0;
         while j < run.len() {
             let pos = run[j] as usize;
+            let stretch = match &cmds[pos] {
+                BatchCmd::Insert(..) => run[j..]
+                    .iter()
+                    .take_while(|&&p| matches!(cmds[p as usize], BatchCmd::Insert(..)))
+                    .count(),
+                _ => 1,
+            };
+            if warmed < j + stretch {
+                // Warm whole groups up to the one holding the stretch's
+                // last command, just before they run, so a long run does
+                // not evict its first groups' lines before their turn.
+                let upto = (j + stretch).next_multiple_of(WARM_GROUP).min(run.len());
+                self.handle.warm(upto - warmed, |i| key(warmed + i));
+                warmed = upto;
+            }
             match &cmds[pos] {
                 BatchCmd::Get(k) => {
                     out[pos] = match self.get(k) {
                         Some(v) => BatchVerdict::Found(v),
                         None => BatchVerdict::Missing,
                     };
-                    j += 1;
                 }
                 BatchCmd::Remove(k) => {
                     out[pos] = BatchVerdict::Removed(self.remove(k));
-                    j += 1;
                 }
                 BatchCmd::Insert(..) => {
-                    let stretch = run[j..]
-                        .iter()
-                        .take_while(|&&p| matches!(cmds[p as usize], BatchCmd::Insert(..)))
-                        .count();
                     let positions = &run[j..j + stretch];
                     let src = &mut InsertCmds { cmds, positions };
                     self.handle.insert_run(src, |i, added| {
                         out[positions[i] as usize] = BatchVerdict::Added(added);
                     });
-                    j += stretch;
                 }
             }
+            j += stretch;
         }
     }
 }

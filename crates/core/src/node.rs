@@ -669,14 +669,26 @@ pub(crate) fn prefetch_wide<K, V>(node: *const Node<K, V>) {
     prefetch_line(addr.wrapping_add(64));
 }
 
+/// Prefetch of every cache line `node` spans: the header and the whole
+/// entry block. Issued by the batch warm pass once a descent reaches
+/// its leaf, where the op that follows will scan the block.
+#[inline(always)]
+pub(crate) fn prefetch_block<K, V>(node: *const Node<K, V>) {
+    let start = node as usize & !63;
+    let end = node as usize + std::mem::size_of::<Node<K, V>>();
+    for line in (start..end).step_by(64) {
+        prefetch_line(line as *const u8);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::NodeCache;
     use std::alloc::Layout;
 
-    fn arena_for<K, V>(capacity: usize) -> NodePool {
-        NodePool::new(Layout::new::<Node<K, V>>(), capacity)
+    fn arena_for<K, V>(recycle: bool) -> NodePool {
+        NodePool::new(Layout::new::<Node<K, V>>(), recycle)
     }
 
     #[test]
@@ -703,7 +715,7 @@ mod tests {
 
     #[test]
     fn leaf_and_internal_classification() {
-        let arena = arena_for::<i64, ()>(16);
+        let arena = arena_for::<i64, ()>(true);
         let mut cache = NodeCache::direct(&arena);
         let leaf = Node::<i64, ()>::new_user_leaf_in(&mut cache, 5, ());
         let leaf2 = Node::<i64, ()>::new_user_leaf_in(&mut cache, 9, ());
@@ -719,7 +731,7 @@ mod tests {
 
     #[test]
     fn child_routing() {
-        let arena = arena_for::<i64, ()>(16);
+        let arena = arena_for::<i64, ()>(true);
         let mut cache = NodeCache::direct(&arena);
         let l = Node::<i64, ()>::new_user_leaf_in(&mut cache, 1, ());
         let r = Node::<i64, ()>::new_user_leaf_in(&mut cache, 10, ());
@@ -737,7 +749,7 @@ mod tests {
 
     #[test]
     fn edges_round_trip_through_slot_indices() {
-        let arena = arena_for::<i64, ()>(16);
+        let arena = arena_for::<i64, ()>(true);
         let mut cache = NodeCache::direct(&arena);
         let l = Node::<i64, ()>::new_user_leaf_in(&mut cache, 1, ());
         let e = clean_edge(l);
@@ -752,7 +764,7 @@ mod tests {
 
     #[test]
     fn sentinel_tree_shape() {
-        let arena = arena_for::<i64, ()>(16);
+        let arena = arena_for::<i64, ()>(true);
         let mut cache = NodeCache::direct(&arena);
         let root: *mut Node<i64, ()> = sentinel_tree(&mut cache);
         unsafe {
@@ -774,7 +786,7 @@ mod tests {
 
     #[test]
     fn block_find_and_accessors() {
-        let arena = arena_for::<i64, i64>(16);
+        let arena = arena_for::<i64, i64>(true);
         let mut cache = NodeCache::direct(&arena);
         let mut leaf = Node::<i64, i64>::new_user_leaf_in(&mut cache, 10, 100);
         unsafe {
@@ -800,7 +812,7 @@ mod tests {
 
     #[test]
     fn block_remove_copy_keeps_router_at_max() {
-        let arena = arena_for::<i64, ()>(16);
+        let arena = arena_for::<i64, ()>(true);
         let mut cache = NodeCache::direct(&arena);
         let a = Node::<i64, ()>::new_user_leaf_in(&mut cache, 1, ());
         unsafe {
@@ -826,7 +838,7 @@ mod tests {
 
     #[test]
     fn split_insert_partitions_and_locates_new_entry() {
-        let arena = arena_for::<i64, i64>(32);
+        let arena = arena_for::<i64, i64>(true);
         let mut cache = NodeCache::direct(&arena);
         // Build a full block 0,10,..,70.
         let mut leaf = Node::<i64, i64>::new_user_leaf_in(&mut cache, 0, 0);
@@ -874,7 +886,7 @@ mod tests {
             }
         }
         let drops = Arc::new(AtomicUsize::new(0));
-        let arena = arena_for::<i64, D>(16);
+        let arena = arena_for::<i64, D>(true);
         let mut cache = NodeCache::direct(&arena);
         unsafe {
             let a = Node::<i64, D>::new_user_leaf_in(&mut cache, 1, D(Arc::clone(&drops)));
@@ -908,7 +920,7 @@ mod tests {
             }
         }
         let drops = Arc::new(AtomicUsize::new(0));
-        let arena = arena_for::<i64, D>(16);
+        let arena = arena_for::<i64, D>(true);
         let mut cache = NodeCache::direct(&arena);
         let a = Node::<i64, D>::new_user_leaf_in(&mut cache, 1, D(Arc::clone(&drops)));
         let b = Node::<i64, D>::new_user_leaf_in(&mut cache, 2, D(Arc::clone(&drops)));
@@ -920,7 +932,7 @@ mod tests {
     #[test]
     fn free_subtree_handles_degenerate_depth() {
         // A left-spine of 100k internal nodes must not overflow the stack.
-        let arena = arena_for::<u64, ()>(0);
+        let arena = arena_for::<u64, ()>(false);
         let mut cache = NodeCache::direct(&arena);
         let mut node = Node::<u64, ()>::new_user_leaf_in(&mut cache, 0, ());
         for i in 1..100_000u64 {

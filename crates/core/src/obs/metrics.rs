@@ -1076,13 +1076,13 @@ pub static METRIC_ROWS: &[Row<MetricsSnapshot>] = &[
     metric_row!("pool_recycled", "nmbst_pool_recycled_total", Counter, Sum, field!(pool.recycled),
         "Reclaimed nodes returned to the pool."),
     metric_row!("pool_dropped", "nmbst_pool_dropped_total", Counter, Sum, field!(pool.dropped),
-        "Reclaimed nodes the full or contended pool abandoned in place."),
+        "Reclaimed nodes abandoned in place because recycling is off."),
     metric_row!("pool_len", "nmbst_pool_len", Gauge, Sum, field!(pool.len),
         "Free blocks currently in the shared pool."),
-    metric_row!("pool_capacity", "nmbst_pool_capacity", Gauge, Sum, field!(pool.capacity),
-        "Maximum free blocks the shared pool holds."),
     metric_row!("pool_live", "nmbst_pool_live", Gauge, Sum, field!(pool.live),
         "Arena slots in use: reachable, awaiting reclamation, or cached by handles."),
+    metric_row!("pool_segments", "nmbst_pool_segments", Gauge, Sum, field!(pool.segments),
+        "Arena segments allocated (each doubles the slot space)."),
     metric_row!("open_connections", "nmbst_serve_open_connections", Gauge, Sum,
         field!(serve.open_connections),
         "Connections currently registered with serving reactors."),

@@ -323,7 +323,7 @@ mod tests {
     use std::alloc::Layout;
 
     fn arena() -> NodePool {
-        NodePool::new(Layout::new::<u64>(), 16)
+        NodePool::new(Layout::new::<u64>(), true)
     }
 
     fn fake_node(arena: &NodePool) -> Edge<u64> {

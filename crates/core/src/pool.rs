@@ -10,8 +10,7 @@
 //!   with a *recycle deferral* ([`recycle_deferred`]) instead of a plain
 //!   drop; when the reclaimer proves the grace period elapsed, the
 //!   deferral drops the entries the node's drop hint says it still owns
-//!   and pushes the slot onto the free list (overflow abandons the slot
-//!   in place — arena memory, reclaimed when the tree drops).
+//!   and pushes the slot onto the free list.
 //! * **alloc → reuse**: allocation goes through a [`NodeCache`] — a
 //!   per-handle (or per-call) unsynchronized cache over the shared pool —
 //!   so hot loops pop recycled slots without touching shared state, and
@@ -32,12 +31,6 @@ use nmbst_reclaim::{Deferred, NodePool};
 use std::alloc::Layout;
 use std::sync::Arc;
 
-/// Default bound on a tree's shared free list, in nodes. Two nodes per
-/// insert means this absorbs ~128 churned keys of garbage — enough to
-/// make steady-state churn bump-free, small enough that an idle tree is
-/// not hoarding recyclable slots.
-pub const DEFAULT_POOL_CAPACITY: usize = 256;
-
 /// How many slots a handle's [`NodeCache`] keeps privately. Refills and
 /// give-backs move slots between this cache and the shared pool in
 /// batches, so the shared lock is touched once per ~batch, not per node.
@@ -47,17 +40,14 @@ pub(crate) const HANDLE_CACHE_CAP: usize = 32;
 const REFILL_BATCH: usize = 8;
 
 /// The `pool` knob on [`TreeConfig`](crate::TreeConfig): whether retired
-/// nodes are recycled into new inserts, and how many free slots the
-/// tree may hold. One flag for A/B ablation — see the perf bin's
-/// pool-on/pool-off cells. The arena itself always exists (it is the
-/// node store); this knob only governs the *recycling* free list.
+/// nodes are recycled into new inserts. One flag for A/B ablation — see
+/// the perf bin's pool-on/pool-off cells. The arena itself always
+/// exists (it is the node store); this knob only governs the
+/// *recycling* free list, which takes back every reclaimed slot when on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Recycle retired nodes through a shared free list (default `true`).
     pub enabled: bool,
-    /// Maximum free slots the shared list holds; overflow is abandoned
-    /// in place until the tree drops (default [`DEFAULT_POOL_CAPACITY`]).
-    pub capacity: usize,
 }
 
 impl PoolConfig {
@@ -65,36 +55,13 @@ impl PoolConfig {
     /// and every reclaimed slot is abandoned until the tree drops — the
     /// pre-PR 4 behaviour, arena-backed.
     pub fn disabled() -> Self {
-        PoolConfig {
-            enabled: false,
-            capacity: 0,
-        }
-    }
-
-    /// Recycling on with an explicit free-list bound.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PoolConfig {
-            enabled: true,
-            capacity,
-        }
-    }
-
-    /// The free-list bound this config asks of the arena.
-    pub(crate) fn effective_capacity(&self) -> usize {
-        if self.enabled {
-            self.capacity
-        } else {
-            0
-        }
+        PoolConfig { enabled: false }
     }
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            enabled: true,
-            capacity: DEFAULT_POOL_CAPACITY,
-        }
+        PoolConfig { enabled: true }
     }
 }
 
@@ -217,8 +184,8 @@ impl Drop for NodeCache<'_> {
 /// Builds the deferral that recycles `node` once its grace period has
 /// elapsed: drop the entries its drop hint says it still owns plus the
 /// routing key, then hand the slot back to `pool` (the
-/// [`Point::Recycle`] chaos hook can force the abandon-in-place overflow
-/// path instead).
+/// [`Point::Recycle`] chaos hook can abandon the slot in place instead,
+/// as a pool with recycling off does).
 ///
 /// The deferral carries only a *raw* pointer to `pool` — no per-node
 /// refcount traffic. The tree makes that sound by parking an `Arc` clone
@@ -251,8 +218,8 @@ pub(crate) unsafe fn recycle_deferred<K: Send, V: Send>(
         // SAFETY: unique ownership; the drop hint was set before retire.
         unsafe { crate::node::drop_retired_contents(node) };
         if chaos::hit(Point::Recycle) == Action::Abandon {
-            // Chaos: pretend the free list declined; abandon the slot in
-            // place (arena memory, reclaimed when the pool drops).
+            // Chaos: abandon the slot in place as a pool with recycling
+            // off would (arena memory, reclaimed when the pool drops).
         } else {
             // SAFETY: slot provenance per contract, contents just dropped.
             unsafe { pool.release(idx) };
@@ -270,13 +237,13 @@ mod tests {
     use super::*;
     use crate::node::{drop_retired_contents, HINT_ALL, HINT_NONE};
 
-    fn pool_for<K, V>(cap: usize) -> NodePool {
-        NodePool::new(Layout::new::<Node<K, V>>(), cap)
+    fn pool_for<K, V>(recycle: bool) -> NodePool {
+        NodePool::new(Layout::new::<Node<K, V>>(), recycle)
     }
 
     #[test]
     fn alloc_free_round_trip_reuses_slot() {
-        let pool = pool_for::<u64, u64>(8);
+        let pool = pool_for::<u64, u64>(true);
         let mut cache = NodeCache::direct(&pool);
         let a = Node::<u64, u64>::new_user_leaf_in(&mut cache, 1, 10);
         unsafe {
@@ -296,8 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_cache_always_bumps() {
-        let pool = pool_for::<u64, ()>(0);
+    fn recycling_off_cache_always_bumps() {
+        let pool = pool_for::<u64, ()>(false);
         let mut cache = NodeCache::direct(&pool);
         let a = Node::<u64, ()>::new_user_leaf_in(&mut cache, 1, ());
         unsafe {
@@ -305,7 +272,7 @@ mod tests {
             cache.free_shell(a);
         }
         let b = Node::<u64, ()>::new_user_leaf_in(&mut cache, 2, ());
-        assert_ne!(a, b, "no recycling at capacity 0");
+        assert_ne!(a, b, "no recycling with the pool off");
         unsafe {
             drop_retired_contents(b);
             cache.free_shell(b);
@@ -318,7 +285,7 @@ mod tests {
 
     #[test]
     fn local_cache_batches_shared_traffic() {
-        let pool = pool_for::<u64, ()>(64);
+        let pool = pool_for::<u64, ()>(true);
         // Seed the shared pool with a few slots.
         {
             let mut seed = NodeCache::direct(&pool);
@@ -355,7 +322,7 @@ mod tests {
             }
         }
         let drops = Arc::new(AtomicUsize::new(0));
-        let pool = Arc::new(pool_for::<u64, D>(8));
+        let pool = Arc::new(pool_for::<u64, D>(true));
         let mut cache = NodeCache::direct(&pool);
         let moved = Node::<u64, D>::new_user_leaf_in(&mut cache, 1, D(Arc::clone(&drops)));
         let owned = Node::<u64, D>::new_user_leaf_in(&mut cache, 2, D(Arc::clone(&drops)));
@@ -376,7 +343,7 @@ mod tests {
 
     #[test]
     fn recycle_deferred_returns_slot_to_pool() {
-        let pool = Arc::new(pool_for::<u64, u64>(8));
+        let pool = Arc::new(pool_for::<u64, u64>(true));
         let mut cache = NodeCache::direct(&pool);
         let node = Node::<u64, u64>::new_user_leaf_in(&mut cache, 7, 70);
         drop(cache);

@@ -12,7 +12,7 @@ mod write;
 
 pub use validate::TreeShape;
 
-pub(crate) use seek::SeekRecord;
+pub(crate) use seek::{SeekRecord, WARM_GROUP};
 pub(crate) use write::{One, RunSource};
 
 use crate::handle::MapHandle;
@@ -215,7 +215,7 @@ where
     pub fn with_config(config: TreeConfig) -> Self {
         let pool = Arc::new(NodePool::new(
             Layout::new::<Node<K, V>>(),
-            config.pool.effective_capacity(),
+            config.pool.enabled,
         ));
         let reclaim = R::new();
         // Recycle deferrals reference the pool by raw pointer; this

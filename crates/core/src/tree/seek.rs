@@ -17,11 +17,18 @@
 use super::{NmTreeMap, RestartPolicy};
 use crate::chaos::{self, Action, Point};
 use crate::key::Key;
-use crate::node::{clean_edge, prefetch, Node};
+use crate::node::{clean_edge, prefetch, prefetch_block, Node};
 use crate::obs::{self, EventKind};
 use crate::stats;
 use nmbst_reclaim::Reclaim;
 use std::cmp::Ordering;
+
+/// Keys per lockstep group of the batch warm pass
+/// ([`NmTreeMap::warm_paths`]): about as many cache misses as one core
+/// keeps in flight (its line-fill buffers, 10–16 on current x86 and Arm
+/// cores). Fewer leaves miss slots idle; more only queue behind the
+/// ones already outstanding.
+pub(crate) const WARM_GROUP: usize = 16;
 
 /// The four addresses a seek returns (Algorithm 1, lines 6–11), plus the
 /// positional key bounds of the `(ancestor → successor)` edge that make
@@ -387,6 +394,105 @@ where
         }
         current
     }
+
+    /// The warm pass of a batch run: descends for the keys
+    /// `key(0) .. key(len - 1)` in groups of [`WARM_GROUP`], each group
+    /// in lockstep — one level per round across the whole group. A round
+    /// loads every live cursor's child edge and prefetches the child, so
+    /// the group's misses at one level are in flight together, where a
+    /// lone descent waits out each level's miss before it can issue the
+    /// next (the address comes from the load). A cursor whose child edge
+    /// is null stands on its leaf: it prefetches every line of the leaf
+    /// block and retires.
+    ///
+    /// Two things keep the pass cheap when the lines are already cached.
+    /// The group's paths agree down to the node where its least and
+    /// greatest keys part (every key between them routes the way both
+    /// do), so that prefix is walked once and the cursors start at the
+    /// fork. And a key equal to the one before it takes no cursor.
+    ///
+    /// The pass keeps nothing. Its loads are [`search_leaf`]'s — the
+    /// same sentinel prefix and the same Acquire edge loads — and it
+    /// records no seek, depth sample or chaos point, so the ops that
+    /// follow do exactly the work they would do cold, on lines that are
+    /// now warm. Staleness is harmless: a node the pass reaches stays
+    /// readable under the guard however the tree changes meanwhile, and
+    /// a cursor that ends on the wrong leaf only warms the wrong lines.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this tree's reclaimer and stay held for the
+    /// whole call.
+    ///
+    /// [`search_leaf`]: Self::search_leaf
+    pub(crate) unsafe fn warm_paths<'k>(
+        &self,
+        guard: &R::Guard<'_>,
+        len: usize,
+        key: impl Fn(usize) -> &'k K,
+    ) where
+        K: 'k,
+    {
+        let _ = guard;
+        // SAFETY (all derefs): as in `search_leaf`.
+        let arena = self.arena();
+        let top = unsafe { &(*self.s_node()).left }.load(arena).ptr();
+        let first = unsafe { &(*top).left }.load(arena).ptr();
+        if first.is_null() {
+            // No user key below the sentinels: nothing to warm.
+            return;
+        }
+        let mut prev = None;
+        for base in (0..len).step_by(WARM_GROUP) {
+            // Cursor `c` descends for `keys[c]` and stands on `at[c]`;
+            // the live cursors are compacted to the front each round.
+            let mut keys = [key(base); WARM_GROUP];
+            let (mut lo, mut hi) = (keys[0], keys[0]);
+            let mut live = 0;
+            for i in base..len.min(base + WARM_GROUP) {
+                let k = key(i);
+                if prev != Some(k) {
+                    keys[live] = k;
+                    live += 1;
+                }
+                prev = Some(k);
+                lo = lo.min(k);
+                hi = hi.max(k);
+            }
+            let mut fork = first;
+            loop {
+                let node = unsafe { &*fork };
+                let next = node.child_for_fin(lo).load(arena).ptr();
+                if next.is_null() {
+                    // The whole group lands in one leaf.
+                    prefetch_block(fork);
+                    live = 0;
+                    break;
+                }
+                if node.key.user_goes_left_fin(hi) != node.key.user_goes_left_fin(lo) {
+                    break;
+                }
+                fork = next;
+            }
+            let mut at = [fork; WARM_GROUP];
+            while live > 0 {
+                let mut kept = 0;
+                for c in 0..live {
+                    let node = at[c];
+                    let next = unsafe { (*node).child_for_fin(keys[c]) }.load(arena).ptr();
+                    if next.is_null() {
+                        prefetch_block(node);
+                    } else {
+                        prefetch(next);
+                        at[kept] = next;
+                        keys[kept] = keys[c];
+                        kept += 1;
+                    }
+                }
+                live = kept;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -482,6 +588,40 @@ mod tests {
                 assert_eq!(rec.leaf, leaf);
                 assert_eq!(rec.leaf_hi, hi);
             }
+        }
+    }
+
+    #[test]
+    fn warm_paths_reads_and_records_nothing() {
+        // Empty, one-leaf and many-level trees; groups that are empty,
+        // partial, whole and several; sorted, duplicated and unsorted
+        // keys. The pass must leave contents and metrics untouched.
+        for loaded in [0i64, 3, 2_000] {
+            let mut map = Map::new();
+            for k in 0..loaded {
+                map.insert(k * 7 % (loaded * 2 + 1), ());
+            }
+            let before = (map.metrics(), map.keys());
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            for len in [0usize, 1, 15, 16, 17, 100] {
+                let mut keys: Vec<i64> = (0..len)
+                    .map(|_| {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        (rng % 5_000) as i64 - 500
+                    })
+                    .collect();
+                let shuffled = keys.clone();
+                keys.sort_unstable();
+                let dups: Vec<i64> = keys.iter().map(|k| k / 8).collect();
+                let guard = map.pin();
+                for batch in [&keys, &shuffled, &dups] {
+                    // SAFETY: `guard` pins `map`'s reclaimer across the call.
+                    unsafe { map.warm_paths(&guard, batch.len(), |i| &batch[i]) };
+                }
+            }
+            assert_eq!((map.metrics(), map.keys()), before, "{loaded} keys");
         }
     }
 

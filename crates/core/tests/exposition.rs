@@ -46,8 +46,8 @@ fn distinct_snapshot(base: u64) -> MetricsSnapshot {
             recycled: n(),
             dropped: n(),
             len: n(),
-            capacity: n(),
             live: n(),
+            segments: n(),
         },
         serve: ServeGauges {
             open_connections: n(),

@@ -1,4 +1,4 @@
-//! Slab arena node storage with a bounded recycling free list.
+//! Slab arena node storage with a recycling free list.
 //!
 //! Since PR 7 the pool *is* the node store: trees no longer `Box` their
 //! nodes, they carve fixed-layout slots out of per-tree arena segments
@@ -41,18 +41,22 @@
 //! The pool never decides *when* a slot may be reused — that is the
 //! reclaimer's job. A recycle deferral fires only after the grace
 //! period, i.e. after no live reference to the slot can exist, so reuse
-//! is ABA-safe by construction (DESIGN.md §11, §14). Unlike the PR 4
-//! pool there is no dealloc fall-through: a slot the free list declines
-//! (capacity, contention) is simply abandoned in place — counted in
-//! [`PoolStats::dropped`] — and its memory returns when the arena drops.
+//! is ABA-safe by construction (DESIGN.md §11, §14). There is no dealloc
+//! fall-through: with recycling on, every released slot goes onto the
+//! free list, so the arena never grows past the peak number of slots in
+//! use. Only a pool built with recycling off abandons released slots in
+//! place — counted in [`PoolStats::dropped`] — and their memory returns
+//! when the arena drops.
 //!
 //! # Concurrency
 //!
-//! The free list is a bounded LIFO `Vec<u32>` under a spin lock,
-//! accessed with `try_lock` only: a contended pop reports "empty" (the
-//! caller bump-allocates) and a contended push abandons the slot. The
-//! pool therefore never blocks an operation; the lock is a fast path,
-//! not a serialization point.
+//! The free list is an unbounded LIFO `Vec<u32>` under a spin lock. A
+//! push always takes the lock, even when contended: a declined slot
+//! would be arena space that never comes back, so a long-running tree's
+//! arena would grow with every reclamation burst. A pop takes the lock
+//! only when the lock-free length mirror says the list is non-empty, so
+//! grow-only phases never touch it. Critical sections are a handful of
+//! `Vec` pushes or pops.
 
 use nmbst_sync::SpinLock;
 use std::alloc::Layout;
@@ -81,13 +85,14 @@ pub struct PoolStats {
     /// Slots accepted into the free list (from recycling deferrals and
     /// cache give-backs).
     pub recycled: u64,
-    /// Slots the free list declined (full or contended) and abandoned in
-    /// place; their memory returns when the arena drops.
+    /// Released slots abandoned in place because recycling is off; their
+    /// memory returns when the arena drops. Always 0 with recycling on.
     pub dropped: u64,
     /// Current free-list length (racy snapshot).
     pub len: u64,
-    /// Maximum free-list length.
-    pub capacity: u64,
+    /// Arena segments allocated so far (segment 0 is allocated with the
+    /// pool; each further one doubles the slot space).
+    pub segments: u64,
     /// Slots in use: carved from the arena and neither on the free list
     /// nor abandoned — reachable nodes, retired nodes awaiting their
     /// grace period, and slots parked in per-handle caches (racy
@@ -98,7 +103,7 @@ pub struct PoolStats {
 }
 
 /// A slab arena of fixed-layout slots addressed by `u32` indices, with a
-/// bounded LIFO free list recycling retired slots.
+/// LIFO free list recycling retired slots.
 ///
 /// One pool serves one slot layout (one `Node<K, V>` type). LIFO because
 /// the most recently retired slot is the most likely to still be
@@ -114,7 +119,9 @@ pub struct NodePool {
     /// Distance between consecutive slots: the layout padded to its
     /// alignment.
     stride: usize,
-    capacity: usize,
+    /// Whether released slots go onto the free list (`false`: they are
+    /// abandoned in place, the pool-off ablation).
+    recycle: bool,
     /// Segment 0's base, duplicated out of `segments[0]` as a plain
     /// field: immutable after construction, so the hot resolution path
     /// reads it without an atomic load (and loop-invariant code motion
@@ -178,11 +185,11 @@ fn alloc_segment(seg: usize, stride: usize, align: usize) -> *mut u8 {
 }
 
 impl NodePool {
-    /// Creates an empty arena for slots of `layout`, recycling at most
-    /// `capacity` free slots (`0` disables reuse: every allocation bumps
-    /// fresh space and every release abandons its slot). Zero-size
-    /// layouts are rejected — there is nothing to store.
-    pub fn new(layout: Layout, capacity: usize) -> Self {
+    /// Creates an empty arena for slots of `layout`. With `recycle` off
+    /// there is no reuse: every allocation bumps fresh space and every
+    /// release abandons its slot. Zero-size layouts are rejected — there
+    /// is nothing to store.
+    pub fn new(layout: Layout, recycle: bool) -> Self {
         assert!(layout.size() > 0, "cannot pool zero-sized slots");
         let stride = layout.pad_to_align().size();
         let seg0 = alloc_segment(0, stride, layout.align());
@@ -191,14 +198,12 @@ impl NodePool {
         NodePool {
             layout,
             stride,
-            capacity,
+            recycle,
             seg0: NonNull::new(seg0).expect("checked non-null above"),
             segments,
             next: AtomicU32::new(1),
             free: SpinLock::new(FreeList {
-                // Reserve up front (bounded for pathological capacities)
-                // so steady-state pushes never grow the Vec.
-                slots: Vec::with_capacity(capacity.min(4096)),
+                slots: Vec::new(),
                 recycled: 0,
             }),
             len: AtomicUsize::new(0),
@@ -212,12 +217,6 @@ impl NodePool {
     #[inline]
     pub fn layout(&self) -> Layout {
         self.layout
-    }
-
-    /// Maximum number of free slots recycled.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current free-list length (racy snapshot; exact at quiescence).
@@ -330,8 +329,8 @@ impl NodePool {
         (idx, NonNull::new(ptr).expect("segment base is non-null"))
     }
 
-    /// Pops one recycled slot, or `None` if the free list is empty or
-    /// contended (the caller then bump-allocates). The returned slot is
+    /// Pops one recycled slot, or `None` if the free list is empty (the
+    /// caller then bump-allocates). The returned slot is
     /// uninitialized memory, exclusively owned by the caller.
     ///
     /// Does not count a hit or miss — callers batch accounting through
@@ -357,9 +356,7 @@ impl NodePool {
         if max == 0 || self.len.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let Some(mut free) = self.free.try_lock() else {
-            return 0;
-        };
+        let mut free = self.free.lock();
         let take = free.slots.len().min(max);
         for _ in 0..take {
             let idx = free.slots.pop().expect("len checked");
@@ -369,10 +366,9 @@ impl NodePool {
         take
     }
 
-    /// Gives a dead slot back to the free list. If the list is full (or
-    /// the lock contended), the slot is abandoned in place — counted in
-    /// [`PoolStats::dropped`], reclaimed when the arena drops — so
-    /// release never blocks.
+    /// Gives a dead slot back to the free list (with recycling off, the
+    /// slot is abandoned in place instead — counted in
+    /// [`PoolStats::dropped`], reclaimed when the arena drops).
     ///
     /// # Safety
     ///
@@ -381,22 +377,20 @@ impl NodePool {
     /// the pool.
     #[inline]
     pub unsafe fn release(&self, idx: u32) {
-        if let Some(mut free) = self.free.try_lock() {
-            if free.slots.len() < self.capacity {
-                free.slots.push(idx);
-                free.recycled += 1;
-                self.len.store(free.slots.len(), Ordering::Relaxed);
-                return;
-            }
+        if !self.recycle {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        // Full or contended: abandon the slot (arena memory, freed at
-        // pool drop).
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut free = self.free.lock();
+        free.slots.push(idx);
+        free.recycled += 1;
+        self.len.store(free.slots.len(), Ordering::Relaxed);
     }
 
     /// Gives many dead slots back in one lock acquisition, draining
-    /// `slots`. Slots that do not fit (full or contended) are abandoned
-    /// in place. This is what per-thread caches flush through.
+    /// `slots` (abandoning them with recycling off, as
+    /// [`release`](Self::release) does). This is what per-thread caches
+    /// flush through.
     ///
     /// # Safety
     ///
@@ -406,19 +400,16 @@ impl NodePool {
         if slots.is_empty() {
             return;
         }
-        if let Some(mut free) = self.free.try_lock() {
-            while free.slots.len() < self.capacity {
-                let Some(idx) = slots.pop() else { break };
-                free.slots.push(idx);
-                free.recycled += 1;
-            }
-            self.len.store(free.slots.len(), Ordering::Relaxed);
+        if !self.recycle {
+            self.dropped
+                .fetch_add(slots.len() as u64, Ordering::Relaxed);
+            slots.clear();
+            return;
         }
-        let dropped = slots.len() as u64;
-        slots.clear();
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
+        let mut free = self.free.lock();
+        free.recycled += slots.len() as u64;
+        free.slots.append(slots);
+        self.len.store(free.slots.len(), Ordering::Relaxed);
     }
 
     /// Folds a caller's batched hit/miss counts into the pool's stats.
@@ -441,7 +432,11 @@ impl NodePool {
             recycled: self.free.lock().recycled,
             dropped: self.dropped.load(Ordering::Relaxed),
             len: self.len() as u64,
-            capacity: self.capacity as u64,
+            segments: self
+                .segments
+                .iter()
+                .filter(|s| !s.load(Ordering::Relaxed).is_null())
+                .count() as u64,
             live: u64::from(self.next.load(Ordering::Relaxed) - 1)
                 .saturating_sub(self.len() as u64 + self.dropped.load(Ordering::Relaxed)),
         }
@@ -470,7 +465,7 @@ impl std::fmt::Debug for NodePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodePool")
             .field("layout", &self.layout)
-            .field("capacity", &self.capacity)
+            .field("recycle", &self.recycle)
             .field("next", &self.next.load(Ordering::Relaxed))
             .field("len", &self.len())
             .finish()
@@ -481,8 +476,8 @@ impl std::fmt::Debug for NodePool {
 mod tests {
     use super::*;
 
-    fn test_pool(capacity: usize) -> NodePool {
-        NodePool::new(Layout::new::<[u64; 4]>(), capacity)
+    fn test_pool(recycle: bool) -> NodePool {
+        NodePool::new(Layout::new::<[u64; 4]>(), recycle)
     }
 
     #[test]
@@ -501,7 +496,7 @@ mod tests {
 
     #[test]
     fn typed_resolution_matches_untyped() {
-        let pool = test_pool(0);
+        let pool = test_pool(false);
         let (idx, ptr) = pool.bump();
         assert_eq!(
             pool.slot_ptr_typed::<[u64; 4]>(idx).cast::<u8>(),
@@ -512,7 +507,7 @@ mod tests {
 
     #[test]
     fn bump_yields_distinct_stable_slots() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         let (i1, p1) = pool.bump();
         let (i2, p2) = pool.bump();
         assert_ne!(i1, i2);
@@ -525,7 +520,7 @@ mod tests {
 
     #[test]
     fn bump_crosses_segment_boundaries() {
-        let pool = test_pool(0);
+        let pool = test_pool(false);
         let mut prev = 0u32;
         // Run past segment 0 into the first lazily-grown overflow
         // segment, writing through every slot near the boundary to let
@@ -543,7 +538,7 @@ mod tests {
 
     #[test]
     fn round_trip_returns_same_slot() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         assert!(pool.acquire().is_none(), "fresh pool is empty");
         let (idx, ptr) = pool.bump();
         unsafe { pool.release(idx) };
@@ -556,7 +551,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         let (a, _) = pool.bump();
         let (b, _) = pool.bump();
         unsafe {
@@ -568,30 +563,49 @@ mod tests {
     }
 
     #[test]
-    fn overflow_abandons_slots() {
-        let pool = test_pool(2);
-        for _ in 0..5 {
-            let (idx, _) = pool.bump();
+    fn release_bursts_are_never_abandoned() {
+        // A reclamation burst far past the old 256-slot bound: every
+        // slot must reach the free list, one at a time or in batches.
+        let pool = test_pool(true);
+        let slots: Vec<u32> = (0..2_000).map(|_| pool.bump().0).collect();
+        for &idx in &slots[..1_000] {
             unsafe { pool.release(idx) };
         }
+        let mut rest = slots[1_000..].to_vec();
+        unsafe { pool.release_batch(&mut rest) };
+        assert!(rest.is_empty(), "release_batch drains its input");
         let s = pool.stats();
-        assert_eq!(s.recycled, 2, "capacity bounds the free list");
-        assert_eq!(s.dropped, 3, "overflow slots abandoned, not recycled");
-        assert_eq!(pool.len(), 2);
+        assert_eq!(s.dropped, 0, "recycling on abandons nothing");
+        assert_eq!(s.recycled, 2_000);
+        assert_eq!(s.len, 2_000);
+        assert_eq!(s.live, 0, "every carved slot is on the free list");
+        // And all of them come back before the arena bumps again.
+        let mut back = Vec::new();
+        while pool.acquire_batch(64, |idx| back.push(idx)) > 0 {}
+        back.sort_unstable();
+        let mut want = slots;
+        want.sort_unstable();
+        assert_eq!(back, want);
     }
 
     #[test]
-    fn capacity_zero_disables_reuse() {
-        let pool = test_pool(0);
-        let (idx, _) = pool.bump();
-        unsafe { pool.release(idx) };
+    fn recycling_off_abandons_every_release() {
+        let pool = test_pool(false);
+        let (a, _) = pool.bump();
+        let (b, _) = pool.bump();
+        let (c, _) = pool.bump();
+        unsafe {
+            pool.release(a);
+            pool.release_batch(&mut vec![b, c]);
+        }
         assert!(pool.acquire().is_none());
-        assert_eq!(pool.stats().dropped, 1);
+        let s = pool.stats();
+        assert_eq!((s.dropped, s.recycled, s.len, s.live), (3, 0, 0, 0));
     }
 
     #[test]
     fn batch_acquire_pops_up_to_max() {
-        let pool = test_pool(8);
+        let pool = test_pool(true);
         for _ in 0..5 {
             let (idx, _) = pool.bump();
             unsafe { pool.release(idx) };
@@ -607,13 +621,22 @@ mod tests {
 
     #[test]
     fn usage_counters_accumulate() {
-        let pool = test_pool(4);
+        let pool = test_pool(true);
         pool.note_usage(3, 1);
         pool.note_usage(0, 2);
         let s = pool.stats();
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 3);
-        assert_eq!(s.capacity, 4);
+    }
+
+    #[test]
+    fn segments_count_the_allocated_arena() {
+        let pool = test_pool(true);
+        assert_eq!(pool.stats().segments, 1, "segment 0 is eager");
+        for _ in 0..SEG0_SLOTS {
+            pool.bump();
+        }
+        assert_eq!(pool.stats().segments, 2, "the bump crossed into segment 1");
     }
 
     #[test]
@@ -622,7 +645,7 @@ mod tests {
         // acquire them back; every index must stay unique among live
         // owners (checked by writing a thread tag through the slot and
         // reading it back before release).
-        let pool = std::sync::Arc::new(test_pool(64));
+        let pool = std::sync::Arc::new(test_pool(true));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let pool = std::sync::Arc::clone(&pool);
@@ -647,6 +670,49 @@ mod tests {
         });
         let s = pool.stats();
         assert_eq!(s.len as usize, pool.len());
-        assert!(s.len <= 64);
+        assert_eq!(s.dropped, 0);
+        assert_eq!(s.live, 0, "every slot was released");
+    }
+
+    #[test]
+    fn contended_batches_lose_no_slots() {
+        // Two threads hammer the one lock with batch refills and batch
+        // give-backs, the per-handle cache traffic. Nothing may be
+        // abandoned, and at quiescence the slot accounting is exact:
+        // every slot carved is either held by a thread or on the list.
+        let pool = std::sync::Arc::new(test_pool(true));
+        let held: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let pool = std::sync::Arc::clone(&pool);
+                    s.spawn(move || {
+                        let mut mine: Vec<u32> = Vec::new();
+                        for round in 0..2_000 {
+                            if pool.acquire_batch(8, |idx| mine.push(idx)) == 0 {
+                                mine.push(pool.bump().0);
+                            }
+                            if round % 3 == 2 {
+                                let keep = mine.len() / 4;
+                                let mut give = mine.split_off(keep);
+                                unsafe { pool.release_batch(&mut give) };
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let s = pool.stats();
+        assert_eq!(s.dropped, 0, "a contended release abandoned a slot");
+        let held_total: usize = held.iter().map(Vec::len).sum();
+        assert_eq!(s.live as usize, held_total, "live is exact at quiescence");
+        let mut all: Vec<u32> = held.concat();
+        pool.acquire_batch(usize::MAX, |idx| all.push(idx));
+        let carved = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), carved, "a slot was handed out twice");
+        assert_eq!(carved as u64, s.live + s.len);
     }
 }

@@ -100,15 +100,14 @@ fn pool_off_is_a_true_ablation() {
     let stats = map.metrics().pool;
     // "Disabled" turns off the *free list*, not the arena: every
     // allocation still bump-allocates a slot (a miss), and every
-    // recycle deferral finds a zero-capacity list and abandons its slot
-    // in place (dropped). What must be dead is reuse.
+    // recycle deferral abandons its slot in place (dropped). What must
+    // be dead is reuse.
     assert_eq!(stats.hits, 0, "no free list, no reuse ({stats:?})");
     assert_eq!(
         stats.recycled, 0,
-        "nothing enters a capacity-0 list ({stats:?})"
+        "nothing enters a disabled list ({stats:?})"
     );
     assert_eq!(stats.len, 0, "{stats:?}");
-    assert_eq!(stats.capacity, 0, "{stats:?}");
     // Every insert/remove pair costs exactly 2 slots at any leaf_cap
     // dividing KEYS: a block of B keys takes 2 + (B-1) insert-path
     // allocations (one classic two-node subtree, then COW merges) and
@@ -123,6 +122,49 @@ fn pool_off_is_a_true_ablation() {
         2 * KEYS * rounds,
         "every retired slot abandoned in place ({stats:?})"
     );
+}
+
+/// A reclamation burst far larger than any per-op cache: 2k removes
+/// through one handle retire thousands of slots, and the flush runs all
+/// their recycle deferrals back to back. Every slot must reach the free
+/// list — a slot abandoned in place is arena space that never returns,
+/// so a long-running tree would grow without bound — and re-inserting
+/// the same keys must then run entirely on recycled slots.
+#[test]
+fn reclamation_bursts_are_never_abandoned() {
+    const N: u64 = 2_000;
+    let map: NmTreeMap<u64, u64, Ebr> = NmTreeMap::new();
+    let mut h = map.handle();
+    for k in 0..N {
+        assert!(h.insert(k, k));
+    }
+    for k in 0..N {
+        assert!(h.remove(&k));
+    }
+    h.unpin();
+    // Nothing is pinned: a few flushes advance the epoch past every bag.
+    for _ in 0..3 {
+        map.flush();
+    }
+    let burst = map.metrics().pool;
+    assert_eq!(
+        burst.dropped, 0,
+        "a reclaimed slot was abandoned ({burst:?})"
+    );
+    assert!(
+        burst.recycled > 256,
+        "the burst must exceed the old 256-slot free-list bound ({burst:?})"
+    );
+    for k in 0..N {
+        assert!(h.insert(k, k));
+    }
+    h.unpin(); // publishes the handle's batched pool counters
+    let refill = map.metrics().pool;
+    assert_eq!(
+        refill.misses, burst.misses,
+        "re-inserting the same keys bumped fresh arena slots ({refill:?})"
+    );
+    assert_eq!(refill.dropped, 0, "{refill:?}");
 }
 
 /// The ABA-safety argument (DESIGN.md §11), demonstrated: while an
